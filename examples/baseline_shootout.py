@@ -38,7 +38,7 @@ def main() -> None:
     for algorithm in (MinCutAlgorithm(pins), BIPAlgorithm(pins),
                       ExactAlgorithm(comm, pins)):
         result = algorithm.run(scenario.model)
-        print(f"  {result.summary()}")
+        print(f"  {result.summary_line()}")
 
     # -- Round 2: availability, where single-criterion baselines lose -------
     print("\nRound 2 - availability on a small system:")
@@ -72,7 +72,7 @@ def main() -> None:
     result = AvalaAlgorithm(availability,
                             ConstraintSet([MemoryConstraint()]),
                             seed=1).run(big)
-    print(f"  Avala on the same 6x40 system: {result.summary()}")
+    print(f"  Avala on the same 6x40 system: {result.summary_line()}")
 
 
 if __name__ == "__main__":

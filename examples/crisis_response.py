@@ -54,7 +54,7 @@ def main() -> None:
 
     print("\nimprovement cycles:")
     for cycle in framework.cycles:
-        print(f"  {cycle.summary()}")
+        print(f"  {cycle.summary_line()}")
 
     print("\nfinal placement:")
     for component, host in sorted(system.actual_deployment().items()):

@@ -41,7 +41,7 @@ def main() -> None:
           f"{framework.ground_truth_availability():.4f}\n")
 
     for report in framework.run(6):
-        print(f"  {report.summary()}")
+        print(f"  {report.summary_line()}")
     workload.stop()
 
     status = framework.status()

@@ -59,14 +59,13 @@ def main() -> None:
 
     # -- Algorithms panel -----------------------------------------------------
     container = AlgorithmContainer(desi)
-    container.register("exact",
-                       lambda: ExactAlgorithm(objective, constraints))
-    container.register("avala",
-                       lambda: AvalaAlgorithm(objective, constraints,
-                                              seed=1))
-    container.register("stochastic",
-                       lambda: StochasticAlgorithm(objective, constraints,
-                                                   seed=1, iterations=40))
+    container.registry.register(
+        "exact", lambda: ExactAlgorithm(objective, constraints))
+    container.registry.register(
+        "avala", lambda: AvalaAlgorithm(objective, constraints, seed=1))
+    container.registry.register(
+        "stochastic", lambda: StochasticAlgorithm(
+            objective, constraints, seed=1, iterations=40))
     container.invoke_all()
     print()
     print(table.results_panel())

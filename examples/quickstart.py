@@ -33,16 +33,19 @@ def main() -> None:
           f"{objective.evaluate(model, initial):.4f}")
 
     # 3. Run the paper's three centralized algorithms and compare.
-    for algorithm in (
-        ExactAlgorithm(objective, constraints),
-        AvalaAlgorithm(objective, constraints, seed=1),
-        StochasticAlgorithm(objective, constraints, seed=1, iterations=50),
-    ):
-        result = algorithm.run(model)
-        print(f"  {result.summary()}")
+    results = [
+        algorithm.run(model) for algorithm in (
+            ExactAlgorithm(objective, constraints),
+            AvalaAlgorithm(objective, constraints, seed=1),
+            StochasticAlgorithm(objective, constraints, seed=1,
+                                iterations=50),
+        )
+    ]
+    for result in results:
+        print(f"  {result.summary_line()}")
 
-    # 4. Adopt the best deployment and look at the trade-offs.
-    best = ExactAlgorithm(objective, constraints).run(model)
+    # 4. Adopt the optimal (exact) deployment and look at the trade-offs.
+    best = results[0]
     model.set_deployment(best.deployment)
     scores = evaluate_all(
         [AvailabilityObjective(), LatencyObjective()], model,

@@ -81,7 +81,7 @@ def main() -> None:
         StochasticAlgorithm(objective, constraints, seed=1, iterations=150),
     ):
         result = algorithm.run(model)
-        print(f"  {result.summary()}")
+        print(f"  {result.summary_line()}")
         if best is None or result.value > best.value:
             best = result
     model.set_deployment(best.deployment)

@@ -31,7 +31,7 @@ from repro.core.errors import (
 )
 from repro.core.model import Deployment, DeploymentModel
 from repro.core.objectives import Objective
-from repro.core.report import ReportBase, deprecated_alias
+from repro.core.report import ReportBase
 
 if TYPE_CHECKING:  # engine imports base; keep the runtime import lazy
     from repro.algorithms.engine import EvaluationEngine
@@ -79,8 +79,6 @@ class AlgorithmResult(ReportBase):
     def render(self, **opts: Any) -> str:
         return self.summary_line()
 
-    summary = deprecated_alias("summary_line", "summary")
-
 
 class DeploymentAlgorithm(ABC):
     """Base class for all (re)deployment algorithms.
@@ -96,11 +94,6 @@ class DeploymentAlgorithm(ABC):
     exact: bool = False
     #: Whether the algorithm is decentralized (Section 3.1's taxonomy).
     decentralized: bool = False
-    #: Route constraint checks through the compiled O(1) checker when the
-    #: constraint set is compilable.  The object path is used automatically
-    #: for constraint types the compiler does not recognise; tests flip
-    #: this per-instance to cross-check the two paths.
-    use_compiled: bool = True
 
     def __init__(self, objective: Objective,
                  constraints: Optional[ConstraintSet] = None,
@@ -190,10 +183,8 @@ class DeploymentAlgorithm(ABC):
     # ------------------------------------------------------------------
     def _evaluate(self, model: DeploymentModel,
                   deployment: Mapping[str, str]) -> float:
-        """Score a full deployment (memoized when an engine is attached)."""
+        """Score a full deployment through the run's memoizing engine."""
         self._evaluations += 1
-        if self._engine is None:
-            return self.objective.evaluate(model, deployment)
         return self._engine.evaluate(model, deployment)
 
     def _move_delta(self, model: DeploymentModel,
@@ -202,9 +193,6 @@ class DeploymentAlgorithm(ABC):
         """Objective change for one component move, counted as one
         evaluation and routed through the engine's delta fast path."""
         self._evaluations += 1
-        if self._engine is None:
-            return self.objective.move_delta(model, deployment, component,
-                                             new_host)
         return self._engine.move_delta(model, deployment, component,
                                        new_host)
 
@@ -215,9 +203,7 @@ class DeploymentAlgorithm(ABC):
     def _checker(self, model: DeploymentModel):
         """A constraint checker for *model* (compiled when possible)."""
         from repro.algorithms.search import make_checker
-        stats = self._engine.stats if self._engine is not None else None
-        return make_checker(model, self.constraints, stats,
-                            use_compiled=self.use_compiled)
+        return make_checker(model, self.constraints, self._engine.stats)
 
     def _search_state(self, model: DeploymentModel,
                       assignment: Mapping[str, str]):
@@ -227,7 +213,6 @@ class DeploymentAlgorithm(ABC):
         from repro.algorithms.search import SearchState
         return SearchState(model, self.constraints, self._engine,
                            self.objective, assignment,
-                           use_compiled=self.use_compiled,
                            count=self._count_evaluation)
 
     def __repr__(self) -> str:

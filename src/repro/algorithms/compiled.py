@@ -402,8 +402,7 @@ class AvailabilityKernel(Kernel):
                                       compiled.edge_criticality, strict=True)]
         else:
             self.edge_weight = compiled.edge_frequency
-        # Deployment-independent denominator (the object path's
-        # _total_weight); computed once per snapshot.
+        # Deployment-independent denominator; computed once per snapshot.
         self.total_weight = sum(self.edge_weight)
 
     def evaluate(self, assignment: Sequence[int]) -> float:
@@ -899,6 +898,17 @@ def register_kernel(objective_type: Type[Objective],
     paths interchangeably.
     """
     _KERNEL_FACTORIES[objective_type] = factory
+
+
+def has_delta_kernel(objective_type: Type[Objective]) -> bool:
+    """Whether a kernel registered for exactly *objective_type* serves deltas.
+
+    Factories that do not declare ``supports_delta`` (plain functions) are
+    trusted to.
+    """
+    factory = _KERNEL_FACTORIES.get(objective_type)
+    return factory is not None and bool(getattr(factory, "supports_delta",
+                                                True))
 
 
 def compile_kernel(objective: Objective,

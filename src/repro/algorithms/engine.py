@@ -8,8 +8,8 @@ Two hot-path observations drive this module:
   revisited local-search states.  :class:`EvaluationEngine` memoizes
   ``Objective.evaluate`` on the hashable
   :class:`~repro.core.model.Deployment` and routes single-component moves
-  through the O(degree) ``Objective.move_delta`` fast path whenever the
-  objective declares ``supports_delta``.
+  through an O(degree) delta (the compiled kernel's, or the objective's own
+  ``move_delta``) whenever the objective declares ``supports_delta``.
 
 * One slow or crashing algorithm must not stall the monitor→analyze→effect
   loop.  :class:`PortfolioRunner` executes a portfolio of algorithms
@@ -41,7 +41,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.errors import AlgorithmError, EvaluationBudgetExceeded
 from repro.core.model import DEPLOYMENT_CHANGED, Deployment, DeploymentModel
 from repro.core.objectives import Objective
-from repro.core.report import ReportBase, deprecated_alias
+from repro.core.report import ReportBase
 
 AlgorithmFactory = Callable[[], "Any"]
 
@@ -175,25 +175,24 @@ class EvaluationEngine:
         max_evaluations: Budget on charged evaluations (full + delta) per
             run; ``None`` means unlimited.
         max_seconds: Wall-clock budget per run; ``None`` means unlimited.
-        use_kernels: Route evaluation through the compiled kernels of
-            :mod:`repro.algorithms.compiled` when the objective has one
-            (built-in objectives do; custom objectives fall back to the
-            object path automatically).  Kernel values are bit-compatible
-            with ``Objective.evaluate``, so memoized scores mix freely.
+
+    Evaluation routes through the compiled kernels of
+    :mod:`repro.algorithms.compiled` when the objective has one (built-in
+    objectives do; custom objectives fall back to the object path
+    automatically).  Kernel values are bit-compatible with
+    ``Objective.evaluate``, so memoized scores mix freely.
     """
 
     def __init__(self, objective: Objective,
                  constraints: Optional[ConstraintSet] = None, *,
                  cache: Optional[DeploymentCache] = None,
                  max_evaluations: Optional[int] = None,
-                 max_seconds: Optional[float] = None,
-                 use_kernels: bool = True):
+                 max_seconds: Optional[float] = None):
         self.objective = objective
         self.constraints = constraints if constraints is not None else ConstraintSet()
         self.cache = cache if cache is not None else DeploymentCache()
         self.max_evaluations = max_evaluations
         self.max_seconds = max_seconds
-        self.use_kernels = use_kernels
         self.stats = EvaluationStats()
         self._started = time.perf_counter()
         self._best: Optional[Tuple[Deployment, float]] = None
@@ -242,11 +241,9 @@ class EvaluationEngine:
         snapshot itself is shared process-wide through
         :func:`~repro.algorithms.compiled.compiled_model`, while the kernel
         (which may hold per-base accumulator state) stays private to this
-        engine.  Returns None when kernels are disabled or the objective
-        has no registered kernel — callers then use the object path.
+        engine.  Returns None when the objective has no registered kernel
+        — callers then use the object path.
         """
-        if not self.use_kernels:
-            return None
         snapshot = compiled_model(model)
         cached = self._kernel_state
         if cached is not None and cached[0]() is model \
@@ -495,8 +492,6 @@ class PortfolioReport(ReportBase):
                 lines.append(f"  {o.name}: {o.status}"
                              + (f" ({o.error})" if o.error else ""))
         return "\n".join(lines)
-
-    summary = deprecated_alias("summary_line", "summary")
 
 
 class PortfolioRunner:

@@ -11,8 +11,7 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   the object fallback (:class:`ObjectConstraintChecker`) when a constraint
   type is not compilable.  Both expose the same protocol, count their
   queries into ``EvaluationStats.constraint_checks``, and are equivalent by
-  construction/property test — which is what makes the fast path safe to
-  enable by default.
+  construction/property test.
 
 * **Legal-move frontier with dirty-move invalidation.**  The frontier
   caches each component's best improving move and the per-move deltas.
@@ -26,9 +25,8 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   A lazy best-move heap orders the surviving row bests.
 
 * **Exactness.**  Deltas always come from the evaluation engine's kernels
-  (`move_delta_indexed`), in both checker modes, so fixed-seed trajectories
-  are identical between the compiled and object constraint paths — the
-  regression suite asserts byte-identical assignments and move logs.
+  (`move_delta_indexed`), whichever checker answers legality, so fixed-seed
+  trajectories are pinned by the regression suite's golden move logs.
   Objectives whose deltas are not neighbor-local
   (``Objective.local_delta`` False, e.g. throughput's bottleneck max)
   invalidate the whole frontier each move: still a win, because legality
@@ -180,18 +178,16 @@ class CompiledConstraintChecker:
 
 
 def make_checker(model: DeploymentModel, constraints: ConstraintSet,
-                 stats: Optional[EvaluationStats] = None,
-                 use_compiled: bool = True):
+                 stats: Optional[EvaluationStats] = None):
     """The fastest applicable constraint checker for *constraints*.
 
     Compiled when every member constraint is a built-in type (by exact
-    type) and *use_compiled* is set; the object path otherwise.
+    type); the object path otherwise.
     """
     cm = compiled_model(model)
-    if use_compiled:
-        compiled_set = compile_constraints(constraints, cm)
-        if compiled_set is not None:
-            return CompiledConstraintChecker(cm, compiled_set, stats)
+    compiled_set = compile_constraints(constraints, cm)
+    if compiled_set is not None:
+        return CompiledConstraintChecker(cm, compiled_set, stats)
     return ObjectConstraintChecker(model, constraints, stats, cm)
 
 
@@ -206,8 +202,8 @@ class SearchState:
     """
 
     def __init__(self, model: DeploymentModel, constraints: ConstraintSet,
-                 engine: Optional[EvaluationEngine], objective: Objective,
-                 assignment: Mapping[str, str], *, use_compiled: bool = True,
+                 engine: EvaluationEngine, objective: Objective,
+                 assignment: Mapping[str, str], *,
                  count: Optional[Callable[[int], None]] = None):
         self.model = model
         self.constraints = constraints
@@ -215,16 +211,16 @@ class SearchState:
         self.objective = objective
         self.cm = compiled_model(model)
         self._count = count
-        self.stats = engine.stats if engine is not None else EvaluationStats()
+        self.stats = engine.stats
         self.mapping: Dict[str, str] = dict(assignment)
         encoded = self.cm.encode(self.mapping)
         if encoded is None:
             raise ValueError("assignment references unknown hosts")
-        # One compilation serves both the checker (when enabled) and the
-        # invalidation metadata (collocation closures, bandwidth presence).
+        # One compilation serves both the checker and the invalidation
+        # metadata (collocation closures, bandwidth presence).
         info = compile_constraints(constraints, self.cm)
         self._compilable = info is not None
-        if use_compiled and info is not None:
+        if info is not None:
             self.checker = CompiledConstraintChecker(self.cm, info,
                                                      self.stats)
             self.checker.reset(encoded)
@@ -283,12 +279,8 @@ class SearchState:
     def _score(self, ci: int, hi: int) -> float:
         if self._count is not None:
             self._count(1)
-        if self.engine is not None:
-            return self.engine.move_delta_indexed(self.model, self.mapping,
-                                                  self.array, ci, hi)
-        return self.objective.move_delta(self.model, self.mapping,
-                                         self.cm.component_ids[ci],
-                                         self.cm.host_ids[hi])
+        return self.engine.move_delta_indexed(self.model, self.mapping,
+                                              self.array, ci, hi)
 
     # -- mutation ----------------------------------------------------------
     def apply(self, ci: int, hi: int) -> None:

@@ -19,19 +19,18 @@ Section 5.1 gives the concrete policy this module implements:
   of the algorithms to take effect or modifies the solution".
 
 Analyzers can also reconfigure the framework (add/remove algorithms at run
-time) via :meth:`Analyzer.register_algorithm` /
-:meth:`Analyzer.unregister_algorithm`.
+time) through ``Analyzer.registry``, an
+:class:`~repro.core.registry.AlgorithmRegistry`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.algorithms import (
-    AlgorithmResult, AvalaAlgorithm, DeploymentAlgorithm, ExactAlgorithm,
-    HillClimbingAlgorithm, StochasticAlgorithm,
+    AlgorithmResult, AvalaAlgorithm, ExactAlgorithm, HillClimbingAlgorithm,
+    StochasticAlgorithm,
 )
 from repro.algorithms.engine import (
     DeploymentCache, EvaluationEngine, PortfolioReport, PortfolioRunner,
@@ -117,9 +116,6 @@ class Decision:
             "algorithms_run": list(self.algorithms_run),
             "guard_values": dict(self.guard_values),
         }
-
-
-AlgorithmFactory = Callable[[], DeploymentAlgorithm]
 
 
 class Analyzer:
@@ -244,29 +240,6 @@ class Analyzer:
                 self.objective, self.constraints, seed=self.seed,
                 iterations=10),
             tier="fast")
-
-    def register_algorithm(self, name: str, factory: AlgorithmFactory,
-                           tier: str = "thorough") -> None:
-        """Deprecated shim — use ``analyzer.registry.register`` instead.
-
-        Kept with its historical replace-on-collision semantics.
-        """
-        warnings.warn(
-            "Analyzer.register_algorithm is deprecated; use "
-            "Analyzer.registry.register(name, factory, tier=...)",
-            DeprecationWarning, stacklevel=2)
-        self.registry.register(name, factory, tier=tier, replace=True)
-
-    def unregister_algorithm(self, name: str) -> None:
-        """Deprecated shim — use ``analyzer.registry.unregister``/``discard``.
-
-        Kept with its historical remove-if-present semantics.
-        """
-        warnings.warn(
-            "Analyzer.unregister_algorithm is deprecated; use "
-            "Analyzer.registry.unregister(name)",
-            DeprecationWarning, stacklevel=2)
-        self.registry.discard(name)
 
     @property
     def algorithm_names(self) -> Tuple[str, ...]:
@@ -447,8 +420,8 @@ class Analyzer:
             for component in moved:
                 if working[component] == current[component]:
                     continue
-                delta = guard.move_delta(model, working, component,
-                                         current[component])
+                delta = self._guard_engine.move_delta(
+                    model, working, component, current[component])
                 gain = -delta if guard.direction == "min" else delta
                 if gain > best_gain:
                     best_gain = gain

@@ -34,7 +34,7 @@ from repro.core.errors import EffectorError
 from repro.core.model import DeploymentModel
 from repro.core.monitoring import MonitoringHub
 from repro.core.objectives import Objective
-from repro.core.report import ReportBase, deprecated_alias
+from repro.core.report import ReportBase
 from repro.core.user_input import UserInput
 from repro.middleware.runtime import AppComponent, DistributedSystem
 from repro.obs import Observability, get_observability
@@ -75,8 +75,6 @@ class CycleReport(ReportBase):
         for result in self.decision.candidates:
             lines.append(f"  candidate {result.summary_line()}")
         return "\n".join(lines)
-
-    summary = deprecated_alias("summary_line", "summary")
 
 
 class CentralizedFramework:

@@ -267,13 +267,8 @@ class DeploymentModel:
         # Hard constraints (repro.core.constraints.Constraint instances).
         self.constraints: List[Any] = []
         #: Bumped whenever the logical-interaction structure or its
-        #: parameters change; objectives key their aggregate caches on it.
+        #: parameters change; the neighbor index keys its cache on it.
         self.interaction_version = 0
-        #: Bumped on *every* topology/parameter event (deployment changes
-        #: excluded — evaluation takes the deployment explicitly).  Stateful
-        #: incremental evaluators (objective accumulators, compiled-model
-        #: snapshots) key their caches on it.
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Listeners
@@ -285,8 +280,6 @@ class DeploymentModel:
         self._listeners.remove(listener)
 
     def _fire(self, event: str, **payload: Any) -> None:
-        if event != DEPLOYMENT_CHANGED:
-            self.version += 1
         for listener in tuple(self._listeners):
             listener(event, payload)
 

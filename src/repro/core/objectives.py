@@ -20,15 +20,16 @@ volume (the I5 baseline's criterion), link security (the paper's recurring
 "improve a distributed system's security" example), and a weighted
 multi-objective combinator (the future-work direction of Section 6).
 
-Objectives support *incremental* re-evaluation via :meth:`Objective.move_delta`
-so that greedy and annealing-style algorithms can evaluate single-component
-moves in time proportional to the component's degree rather than re-scoring
-the whole system.
+The built-in objectives are scored incrementally by the compiled kernels of
+:mod:`repro.algorithms.compiled`, which the evaluation engine routes every
+single-component move through, so greedy and annealing-style algorithms pay
+time proportional to the component's degree rather than re-scoring the
+whole system.  The ``evaluate`` methods here are the readable reference
+those kernels reproduce bit-for-bit.
 """
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -53,23 +54,24 @@ class Objective(ABC):
       evaluate(base)`` for a single-component move, and MUST agree with two
       full evaluations to floating-point tolerance (the property tests
       enforce 1e-9).
-    * :attr:`supports_delta` declares whether ``move_delta`` is genuinely
-      incremental (O(degree) in the moved component's interactions).
-      Objectives that cannot localize a move's effect (bottleneck/min
-      aggregations) declare ``supports_delta = False`` — the default base
-      implementation of ``move_delta`` then recomputes from scratch, and
-      the evaluation engine routes such objectives through (memoized) full
-      evaluation instead of the delta fast path.
+    * :attr:`supports_delta` declares that a move's delta is genuinely
+      incremental (O(degree) in the moved component's interactions): either
+      ``move_delta`` is overridden with an incremental computation, or a
+      compiled kernel registered for the objective's exact type
+      (:func:`repro.algorithms.compiled.register_kernel`) serves deltas —
+      the route every built-in objective takes.  Objectives that declare
+      ``supports_delta = False`` are scored by the evaluation engine
+      through (memoized) full evaluation instead of the delta fast path.
     """
 
     #: Short identifier used in analyzer logs and bench output.
     name: str = "objective"
     #: Either :data:`MAXIMIZE` or :data:`MINIMIZE`.
     direction: str = MAXIMIZE
-    #: True when :meth:`move_delta` is overridden with an O(degree)
-    #: incremental computation.  Declared explicitly per objective so the
-    #: engine never silently pays a full re-evaluation believing it bought
-    #: a delta.
+    #: True when moves are scored incrementally, by an O(degree)
+    #: :meth:`move_delta` override or a registered compiled kernel.
+    #: Declared explicitly per objective so the engine never silently pays
+    #: a full re-evaluation believing it bought a delta.
     supports_delta: bool = False
     #: True when ``move_delta(model, d, c, h)`` depends *only* on the hosts
     #: of ``c`` and its logical neighbors — i.e. moving some other,
@@ -148,29 +150,12 @@ class AvailabilityObjective(Objective):
 
     def __init__(self, use_criticality: bool = False):
         self.use_criticality = use_criticality
-        # Total interaction weight cache, keyed by a weak reference to the
-        # model plus its interaction_version — the total is
-        # deployment-independent, and recomputing it per move_delta call
-        # would make incremental evaluation as expensive as a full one.
-        # (A weakref rather than id(): ids get recycled after GC.)
-        self._total_cache = None  # (weakref, version, total)
 
     def _weight(self, link) -> float:
         weight = link.frequency
         if self.use_criticality:
             weight *= link.params.get("criticality")
         return weight
-
-    def _total_weight(self, model: DeploymentModel) -> float:
-        cached = self._total_cache
-        if cached is not None and cached[0]() is model \
-                and cached[1] == model.interaction_version:
-            return cached[2]
-        total = sum(self._weight(link)
-                    for __, __, link in model.interaction_pairs())
-        self._total_cache = (weakref.ref(model), model.interaction_version,
-                             total)
-        return total
 
     def evaluate(self, model: DeploymentModel,
                  deployment: Mapping[str, str]) -> float:
@@ -189,28 +174,6 @@ class AvailabilityObjective(Objective):
         if total == 0.0:
             return 1.0  # no interactions: trivially fully available
         return delivered / total
-
-    def move_delta(self, model: DeploymentModel, deployment: Mapping[str, str],
-                   component: str, new_host: str) -> float:
-        total = self._total_weight(model)
-        if total == 0.0:
-            return 0.0
-        old_host = deployment.get(component)
-        delta_delivered = 0.0
-        for neighbor in model.logical_neighbors(component):
-            link = model.logical_link(component, neighbor)
-            weight = self._weight(link)
-            if weight <= 0.0:
-                continue
-            neighbor_host = deployment.get(neighbor)
-            if neighbor_host is None:
-                continue
-            new_rel = model.reliability(new_host, neighbor_host)
-            old_rel = (model.reliability(old_host, neighbor_host)
-                       if old_host is not None else 0.0)
-            delta_delivered += weight * (new_rel - old_rel)
-        return delta_delivered / total
-
 
 class LatencyObjective(Objective):
     """Total time spent communicating, to be minimized (paper Section 5.1).
@@ -258,26 +221,6 @@ class LatencyObjective(Objective):
                 model, host_a, host_b, link.evt_size)
         return total
 
-    def move_delta(self, model: DeploymentModel, deployment: Mapping[str, str],
-                   component: str, new_host: str) -> float:
-        old_host = deployment.get(component)
-        delta = 0.0
-        for neighbor in model.logical_neighbors(component):
-            link = model.logical_link(component, neighbor)
-            if link.frequency <= 0.0:
-                continue
-            neighbor_host = deployment.get(neighbor)
-            if neighbor_host is None:
-                continue
-            new_cost = self._pair_cost(model, new_host, neighbor_host,
-                                       link.evt_size)
-            old_cost = (self._pair_cost(model, old_host, neighbor_host,
-                                        link.evt_size)
-                        if old_host is not None else UNREACHABLE_COST)
-            delta += link.frequency * (new_cost - old_cost)
-        return delta
-
-
 class CommunicationCostObjective(Objective):
     """Volume of data crossing the network, to be minimized.
 
@@ -302,21 +245,6 @@ class CommunicationCostObjective(Objective):
                 total += link.frequency * link.evt_size
         return total
 
-    def move_delta(self, model: DeploymentModel, deployment: Mapping[str, str],
-                   component: str, new_host: str) -> float:
-        old_host = deployment.get(component)
-        delta = 0.0
-        for neighbor in model.logical_neighbors(component):
-            link = model.logical_link(component, neighbor)
-            volume = link.frequency * link.evt_size
-            neighbor_host = deployment.get(neighbor)
-            old_remote = (neighbor_host is None or old_host is None
-                          or old_host != neighbor_host)
-            new_remote = neighbor_host is None or new_host != neighbor_host
-            delta += volume * (float(new_remote) - float(old_remote))
-        return delta
-
-
 class SecurityObjective(Objective):
     """Weighted security of the links carrying the system's interactions.
 
@@ -332,24 +260,6 @@ class SecurityObjective(Objective):
     direction = MAXIMIZE
     supports_delta = True
     local_delta = True
-
-    def __init__(self):
-        # Total interaction weight is deployment-independent; cache it per
-        # (model, interaction_version) exactly like AvailabilityObjective
-        # so move_delta stays O(degree).
-        self._total_cache = None  # (weakref, version, total)
-
-    def _total_weight(self, model: DeploymentModel) -> float:
-        cached = self._total_cache
-        if cached is not None and cached[0]() is model \
-                and cached[1] == model.interaction_version:
-            return cached[2]
-        total = sum(link.frequency
-                    for __, __, link in model.interaction_pairs()
-                    if link.frequency > 0.0)
-        self._total_cache = (weakref.ref(model), model.interaction_version,
-                             total)
-        return total
 
     def _pair_security(self, model: DeploymentModel, host_a: str,
                        host_b: str) -> float:
@@ -378,28 +288,6 @@ class SecurityObjective(Objective):
             return 1.0
         return secured / total
 
-    def move_delta(self, model: DeploymentModel, deployment: Mapping[str, str],
-                   component: str, new_host: str) -> float:
-        total = self._total_weight(model)
-        if total == 0.0:
-            return 0.0
-        old_host = deployment.get(component)
-        delta_secured = 0.0
-        for neighbor in model.logical_neighbors(component):
-            link = model.logical_link(component, neighbor)
-            weight = link.frequency
-            if weight <= 0.0:
-                continue
-            neighbor_host = deployment.get(neighbor)
-            if neighbor_host is None:
-                continue
-            new_sec = self._pair_security(model, new_host, neighbor_host)
-            old_sec = (self._pair_security(model, old_host, neighbor_host)
-                       if old_host is not None else 0.0)
-            delta_secured += weight * (new_sec - old_sec)
-        return delta_secured / total
-
-
 class ThroughputObjective(Objective):
     """Bottleneck link utilization, to be minimized (§6 future work).
 
@@ -414,21 +302,13 @@ class ThroughputObjective(Objective):
     name = "throughput"
     direction = MINIMIZE
     #: The objective is the MAX utilization over all links, but a move only
-    #: touches the moved component's O(degree) host pairs: ``move_delta``
-    #: keeps the per-host-pair demand table for the base deployment (edge
-    #: counts alongside volumes, so a pair vacated by the move drops out
-    #: exactly instead of leaving float residue), applies the O(degree)
-    #: adjustments, and re-derives the bottleneck over the live pairs.
+    #: touches the moved component's O(degree) host pairs: the compiled
+    #: kernel keeps the per-host-pair demand table for the base deployment,
+    #: applies the O(degree) adjustments, and re-derives the bottleneck.
     supports_delta = True
 
     #: Utilization charged to interacting host pairs with no usable link.
     UNREACHABLE_UTILIZATION = 1.0e6
-
-    def __init__(self):
-        # Demand accumulators for the last base deployment queried:
-        # (model weakref, model.version, base mapping dict,
-        #  {host pair: volume}, {host pair: contributing edges}, base value).
-        self._state = None
 
     def evaluate(self, model: DeploymentModel,
                  deployment: Mapping[str, str]) -> float:
@@ -450,81 +330,6 @@ class ThroughputObjective(Objective):
                 worst = max(worst, volume / bandwidth)
         return worst
 
-    def _utilization(self, model: DeploymentModel, host_a: str, host_b: str,
-                     volume: float) -> float:
-        bandwidth = model.bandwidth(host_a, host_b)
-        if bandwidth <= 0.0:
-            return self.UNREACHABLE_UTILIZATION
-        if bandwidth == float("inf"):
-            return 0.0
-        return volume / bandwidth
-
-    def _base_state(self, model: DeploymentModel,
-                    deployment: Mapping[str, str]):
-        base = dict(deployment)
-        state = self._state
-        if state is not None and state[0]() is model \
-                and state[1] == model.version and state[2] == base:
-            return state
-        demand: Dict[Tuple[str, str], float] = {}
-        counts: Dict[Tuple[str, str], int] = {}
-        for comp_a, comp_b, link in model.interaction_pairs():
-            host_a = base.get(comp_a)
-            host_b = base.get(comp_b)
-            if host_a is None or host_b is None or host_a == host_b:
-                continue
-            key = (host_a, host_b) if host_a <= host_b else (host_b, host_a)
-            demand[key] = demand.get(key, 0.0) + \
-                link.frequency * link.evt_size
-            counts[key] = counts.get(key, 0) + 1
-        state = (weakref.ref(model), model.version, base, demand, counts,
-                 self.evaluate(model, base))
-        self._state = state
-        return state
-
-    def move_delta(self, model: DeploymentModel, deployment: Mapping[str, str],
-                   component: str, new_host: str) -> float:
-        __, __, base, demand, counts, base_value = \
-            self._base_state(model, deployment)
-        old_host = base.get(component)
-        if old_host == new_host:
-            return 0.0
-        volume_changes: Dict[Tuple[str, str], float] = {}
-        count_changes: Dict[Tuple[str, str], int] = {}
-        for neighbor in model.logical_neighbors(component):
-            neighbor_host = base.get(neighbor)
-            if neighbor_host is None:
-                continue
-            link = model.logical_link(component, neighbor)
-            volume = link.frequency * link.evt_size
-            if old_host is not None and old_host != neighbor_host:
-                key = ((old_host, neighbor_host)
-                       if old_host <= neighbor_host
-                       else (neighbor_host, old_host))
-                volume_changes[key] = volume_changes.get(key, 0.0) - volume
-                count_changes[key] = count_changes.get(key, 0) - 1
-            if new_host != neighbor_host:
-                key = ((new_host, neighbor_host)
-                       if new_host <= neighbor_host
-                       else (neighbor_host, new_host))
-                volume_changes[key] = volume_changes.get(key, 0.0) + volume
-                count_changes[key] = count_changes.get(key, 0) + 1
-        worst = 0.0
-        for key, volume in demand.items():
-            change = count_changes.get(key)
-            if change is not None:
-                if counts[key] + change <= 0:
-                    continue  # every contributing edge moved off this pair
-                volume = volume + volume_changes[key]
-            worst = max(worst, self._utilization(model, *key, volume))
-        for key, change in count_changes.items():
-            if key not in demand and change > 0:
-                worst = max(worst,
-                            self._utilization(model, *key,
-                                              volume_changes[key]))
-        return worst - base_value
-
-
 class DurabilityObjective(Objective):
     """Projected system lifetime on battery power, to be maximized (§6).
 
@@ -540,10 +345,9 @@ class DurabilityObjective(Objective):
     name = "durability"
     direction = MAXIMIZE
     #: Durability is the MIN projected lifetime across battery hosts, but a
-    #: move only changes the draw of O(degree) hosts: ``move_delta`` keeps
-    #: per-host running CPU-load and radio-traffic accumulators for the base
-    #: deployment, applies the move to scratch copies, and re-derives the
-    #: minimum lifetime in O(hosts).
+    #: move only changes the draw of O(degree) hosts: the compiled kernel
+    #: keeps per-host running CPU-load and radio-traffic accumulators for
+    #: the base deployment and re-derives the minimum lifetime in O(hosts).
     supports_delta = True
 
     def __init__(self, idle_draw: float = 1.0, cpu_coefficient: float = 0.1,
@@ -553,10 +357,6 @@ class DurabilityObjective(Objective):
         self.cpu_coefficient = cpu_coefficient
         self.radio_coefficient = radio_coefficient
         self.max_lifetime = max_lifetime
-        # Load accumulators for the last base deployment queried:
-        # (model weakref, model.version, base mapping dict,
-        #  {host: cpu load}, {host: radio volume}, base value).
-        self._state = None
 
     def host_lifetime(self, model: DeploymentModel,
                       deployment: Mapping[str, str], host_id: str) -> float:
@@ -588,84 +388,6 @@ class DurabilityObjective(Objective):
         if not finite:
             return self.max_lifetime  # fully mains-powered system
         return min(finite)
-
-    def _min_lifetime(self, model: DeploymentModel,
-                      cpu_load: Dict[str, float],
-                      radio: Dict[str, float]) -> float:
-        best: Optional[float] = None
-        for host in model.hosts:
-            battery = host.params.get("battery")
-            if battery == float("inf"):
-                continue
-            draw = (self.idle_draw
-                    + self.cpu_coefficient * cpu_load.get(host.id, 0.0)
-                    + self.radio_coefficient * radio.get(host.id, 0.0))
-            lifetime = (self.max_lifetime if draw <= 0.0
-                        else min(battery / draw, self.max_lifetime))
-            if lifetime < self.max_lifetime \
-                    and (best is None or lifetime < best):
-                best = lifetime
-        return self.max_lifetime if best is None else best
-
-    def _base_state(self, model: DeploymentModel,
-                    deployment: Mapping[str, str]):
-        base = dict(deployment)
-        state = self._state
-        if state is not None and state[0]() is model \
-                and state[1] == model.version and state[2] == base:
-            return state
-        cpu_load: Dict[str, float] = {}
-        radio: Dict[str, float] = {}
-        for component_id, host_id in base.items():
-            cpu_load[host_id] = cpu_load.get(host_id, 0.0) + \
-                model.component(component_id).cpu
-        for comp_a, comp_b, link in model.interaction_pairs():
-            host_a = base.get(comp_a)
-            host_b = base.get(comp_b)
-            if host_a == host_b:
-                continue
-            volume = link.frequency * link.evt_size
-            if host_a is not None:
-                radio[host_a] = radio.get(host_a, 0.0) + volume
-            if host_b is not None:
-                radio[host_b] = radio.get(host_b, 0.0) + volume
-        state = (weakref.ref(model), model.version, base, cpu_load, radio,
-                 self._min_lifetime(model, cpu_load, radio))
-        self._state = state
-        return state
-
-    def move_delta(self, model: DeploymentModel, deployment: Mapping[str, str],
-                   component: str, new_host: str) -> float:
-        __, __, base, cpu_load, radio, base_value = \
-            self._base_state(model, deployment)
-        old_host = base.get(component)
-        if old_host == new_host:
-            return 0.0
-        cpu_scratch = dict(cpu_load)
-        radio_scratch = dict(radio)
-        cpu = model.component(component).cpu
-        if old_host is not None:
-            cpu_scratch[old_host] = cpu_scratch.get(old_host, 0.0) - cpu
-        cpu_scratch[new_host] = cpu_scratch.get(new_host, 0.0) + cpu
-        for neighbor in model.logical_neighbors(component):
-            neighbor_host = base.get(neighbor)
-            if neighbor_host is None:
-                continue
-            link = model.logical_link(component, neighbor)
-            volume = link.frequency * link.evt_size
-            if old_host is not None and old_host != neighbor_host:
-                radio_scratch[old_host] = \
-                    radio_scratch.get(old_host, 0.0) - volume
-                radio_scratch[neighbor_host] = \
-                    radio_scratch.get(neighbor_host, 0.0) - volume
-            if new_host != neighbor_host:
-                radio_scratch[new_host] = \
-                    radio_scratch.get(new_host, 0.0) + volume
-                radio_scratch[neighbor_host] = \
-                    radio_scratch.get(neighbor_host, 0.0) + volume
-        return self._min_lifetime(model, cpu_scratch, radio_scratch) \
-            - base_value
-
 
 class WeightedObjective(Objective):
     """Linear combination of objectives for multi-objective improvement.

@@ -16,20 +16,16 @@ instead of being re-invented per verb.
 
 :class:`ReportBase` is the mixin concrete reports inherit: subclasses
 supply ``to_dict`` and ``summary_line`` and get canonical ``to_json``
-(and a JSON-backed default ``render``) for free.  Pre-existing method
-names (``summary()``, ``as_dict()``) survive as deprecated aliases via
-:func:`deprecated_alias` so code written against the old ad-hoc shapes
-keeps working.
+(and a JSON-backed default ``render``) for free.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Mapping, Protocol, runtime_checkable
+from typing import Any, Dict, Mapping, Protocol, runtime_checkable
 
-__all__ = ["Report", "ReportBase", "deprecated_alias", "json_safe"]
+__all__ = ["Report", "ReportBase", "json_safe"]
 
 
 @runtime_checkable
@@ -98,23 +94,3 @@ class ReportBase:
     def render(self, **opts: Any) -> str:
         return self.to_json(**opts)
 
-
-def deprecated_alias(new_name: str,
-                     old_name: str) -> Callable[..., Any]:
-    """Build a method that warns and forwards to ``self.<new_name>``.
-
-    Usage inside a class body::
-
-        summary = deprecated_alias("summary_line", "summary")
-    """
-
-    def alias(self: Any, *args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"{type(self).__name__}.{old_name}() is deprecated; "
-            f"use {new_name}()", DeprecationWarning, stacklevel=2)
-        return getattr(self, new_name)(*args, **kwargs)
-
-    alias.__name__ = old_name
-    alias.__qualname__ = old_name
-    alias.__doc__ = f"Deprecated alias for :meth:`{new_name}`."
-    return alias

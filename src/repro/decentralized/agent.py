@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.errors import MiddlewareError
 from repro.core.model import DeploymentModel
 from repro.core.objectives import AvailabilityObjective, Objective
-from repro.core.report import ReportBase, deprecated_alias
+from repro.core.report import ReportBase
 from repro.decentralized.auction import AuctionAgentComponent, agent_id
 from repro.decentralized.awareness import AwarenessGraph, from_connectivity
 from repro.decentralized.sync import KnowledgeBase, ModelSynchronizer
@@ -131,8 +131,6 @@ class RoundReport(ReportBase):
 
     def render(self, **opts: Any) -> str:
         return self.summary_line()
-
-    summary = deprecated_alias("summary_line", "summary")
 
 
 class DecentralizedFramework:

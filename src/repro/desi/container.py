@@ -9,9 +9,8 @@ Section 4.3 adds the meta-level API the Analyzer uses: "The API allows for
 addition and removal of algorithms, modification of the model, and access
 to DeSi's internal data structure that holds the results of executing
 algorithms."  That meta-level operation is
-:class:`repro.core.registry.AlgorithmRegistry`, shared with the Analyzer;
-the container's historical ``register``/``unregister`` methods remain as
-thin deprecation shims over ``container.registry``.
+:class:`repro.core.registry.AlgorithmRegistry`, shared with the Analyzer
+and exposed as ``container.registry``.
 
 Invocation runs through the memoized
 :class:`repro.algorithms.engine.EvaluationEngine` — one cache per
@@ -22,19 +21,15 @@ algorithm already evaluated.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.algorithms.base import AlgorithmResult, DeploymentAlgorithm
+from repro.algorithms.base import AlgorithmResult
 from repro.algorithms.engine import (
     DeploymentCache, EvaluationEngine, PortfolioReport, PortfolioRunner,
 )
 from repro.core.effector import plan_redeployment
 from repro.core.registry import AlgorithmRegistry
 from repro.desi.systemdata import DeSiModel
-
-AlgorithmFactory = Callable[[], DeploymentAlgorithm]
-
 
 class AlgorithmContainer:
     """Registry + runner for deployment estimation algorithms."""
@@ -44,27 +39,6 @@ class AlgorithmContainer:
         #: The meta-level add/remove/query API (shared with the Analyzer).
         self.registry = AlgorithmRegistry()
         self._cache = DeploymentCache()
-
-    # -- the meta-level API (add/remove/query) ------------------------------
-    def register(self, name: str, factory: AlgorithmFactory) -> None:
-        """Deprecated shim — use ``container.registry.register`` instead.
-
-        Raises :class:`~repro.core.errors.DuplicateAlgorithmError` when the
-        name is taken (historical behavior, now a dedicated registry error).
-        """
-        warnings.warn(
-            "AlgorithmContainer.register is deprecated; use "
-            "container.registry.register(name, factory)",
-            DeprecationWarning, stacklevel=2)
-        self.registry.register(name, factory)
-
-    def unregister(self, name: str) -> None:
-        """Deprecated shim — use ``container.registry.unregister`` instead."""
-        warnings.warn(
-            "AlgorithmContainer.unregister is deprecated; use "
-            "container.registry.unregister(name)",
-            DeprecationWarning, stacklevel=2)
-        self.registry.unregister(name)
 
     @property
     def algorithm_names(self) -> Tuple[str, ...]:

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core import AvailabilityObjective
 from repro.core.errors import FaultPlanError
 from repro.core.framework import CentralizedFramework
-from repro.core.report import ReportBase, deprecated_alias
+from repro.core.report import ReportBase
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.middleware.runtime import AppComponent, DistributedSystem
@@ -56,17 +56,6 @@ SCENARIOS: Dict[str, Callable[[Optional[int]], Any]] = {
     "sensorfield": lambda seed: build_sensor_field(seed=seed),
     "clientserver": lambda seed: build_client_server(seed=seed),
 }
-
-#: Pause the cyclic garbage collector while a campaign's clock runs.
-#: The hot path churns millions of short-lived *acyclic* objects (events,
-#: wire dicts, heap entries) that reference counting reclaims by itself;
-#: all the generational collector does during a run is repeatedly rescan
-#: the growing live set, which costs ~10% of campaign wall time at high
-#: message rates.  Cycles created during a run (there are a handful, in
-#: long-lived topology objects) are collected as usual once the campaign
-#: finishes and the collector resumes.
-PAUSE_GC_DURING_CAMPAIGNS = True
-
 
 @dataclass
 class ResilienceReport(ReportBase):
@@ -160,9 +149,6 @@ class ResilienceReport(ReportBase):
                 f"{self.migrations_succeeded}/{self.migrations_attempted} "
                 f"migrations, {self.effector_retries} retries, "
                 f"{self.rollbacks} rollbacks")
-
-    as_dict = deprecated_alias("to_dict", "as_dict")
-    summary = deprecated_alias("summary_line", "summary")
 
 
 @dataclass
@@ -267,7 +253,6 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
                  planner: bool = False,
                  effector_options: Optional[Dict[str, Any]] = None,
                  obs: Optional[Observability] = None,
-                 clock_factory: Optional[Callable[[], SimClock]] = None,
                  rate_scale: float = 1.0,
                  seeds: Optional[Sequence[int]] = None,
                  workers: Optional[int] = None,
@@ -302,10 +287,6 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
             process-wide bundle (a no-op unless one was installed); pass an
             enabled bundle to capture per-subsystem metrics and spans for
             ``python -m repro obs report``.
-        clock_factory: Builds the simulation clock for each run; defaults
-            to :class:`~repro.sim.clock.SimClock`.  Benchmarks pass
-            :class:`~repro.sim.clock.LegacySimClock` here to measure the
-            pre-batching scheduler against identical campaigns.
         rate_scale: Multiplier applied to every interaction frequency of
             the workload (``InteractionWorkload(rate_scale=...)``) — lets
             benchmarks raise message pressure without editing the model.
@@ -320,9 +301,8 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
             same inputs the suite renders byte-identically — campaigns
             are pure functions of (plan, seed), and worker-side metrics
             ship home as lines merged into *obs* just as in
-            :class:`repro.desi.batch.ExperimentRunner`.  Factories
-            (*system_factory*, *clock_factory*) must be picklable in
-            workers mode.
+            :class:`repro.desi.batch.ExperimentRunner`.  A
+            *system_factory* must be picklable in workers mode.
 
     Passing a plan sequence, *seeds*, or *workers* selects suite mode
     (the return value is a :class:`CampaignSuiteReport`); otherwise the
@@ -342,14 +322,14 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
         return _run_single_campaign(
             plans[0], seed, scenario, duration, improve, monitor_interval,
             cycles_per_analysis, system_factory, planner, effector_options,
-            obs, clock_factory, rate_scale)
+            obs, rate_scale)
     seed_list = [seed] if seeds is None else [int(s) for s in seeds]
     if not seed_list:
         raise FaultPlanError("seeds must be non-empty")
     return _run_suite(plans, seed_list, workers, scenario, duration,
                       improve, monitor_interval, cycles_per_analysis,
                       system_factory, planner, effector_options, obs,
-                      clock_factory, rate_scale)
+                      rate_scale)
 
 
 def _run_single_campaign(
@@ -360,13 +340,12 @@ def _run_single_campaign(
                                           DistributedSystem]],
         planner: bool, effector_options: Optional[Dict[str, Any]],
         obs: Optional[Observability],
-        clock_factory: Optional[Callable[[], SimClock]],
         rate_scale: float = 1.0,
         ) -> ResilienceReport:
     """One campaign, exactly as :func:`run_campaign` always ran it."""
     started_wall = _time.perf_counter()
     run_for = plan.duration if duration is None else float(duration)
-    clock = clock_factory() if clock_factory is not None else SimClock()
+    clock = SimClock()
     obs = obs if obs is not None else get_observability()
     if obs.enabled:
         obs.bind_clock(clock)
@@ -410,7 +389,14 @@ def _run_single_campaign(
     if framework is not None:
         framework.start(cycles_per_analysis=cycles_per_analysis)
 
-    resume_gc = PAUSE_GC_DURING_CAMPAIGNS and gc.isenabled()
+    # Pause the cyclic garbage collector while the clock runs.  The hot
+    # path churns millions of short-lived *acyclic* objects (events, wire
+    # dicts, heap entries) that reference counting reclaims by itself;
+    # all the generational collector does during a run is rescan the
+    # growing live set, which costs ~10% of campaign wall time at high
+    # message rates.  The few cycles a run creates are collected once
+    # the collector resumes.
+    resume_gc = gc.isenabled()
     if resume_gc:
         gc.disable()
     try:
@@ -501,14 +487,14 @@ def _campaign_job(job: Tuple) -> Tuple[ResilienceReport, Optional[list]]:
     merging — registries never cross the process boundary."""
     (plan, job_seed, scenario, duration, improve, monitor_interval,
      cycles_per_analysis, system_factory, planner, effector_options,
-     clock_factory, rate_scale, observed) = job
+     rate_scale, observed) = job
     registry = MetricsRegistry() if observed else None
     job_obs = (Observability(metrics=registry, tracer=NULL_TRACER)
                if registry is not None else Observability.disabled())
     report = _run_single_campaign(
         plan, job_seed, scenario, duration, improve, monitor_interval,
         cycles_per_analysis, system_factory, planner, effector_options,
-        job_obs, clock_factory, rate_scale)
+        job_obs, rate_scale)
     return report, (registry.to_lines() if registry is not None else None)
 
 
@@ -534,7 +520,6 @@ def _run_suite(plans: List[FaultPlan], seeds: List[int],
                                                  DistributedSystem]],
                planner: bool, effector_options: Optional[Dict[str, Any]],
                obs: Optional[Observability],
-               clock_factory: Optional[Callable[[], SimClock]],
                rate_scale: float = 1.0,
                ) -> CampaignSuiteReport:
     """Fan (plans x seeds) out over a process pool (or run serially)."""
@@ -543,14 +528,13 @@ def _run_suite(plans: List[FaultPlan], seeds: List[int],
     jobs = [
         (plan, job_seed, scenario, duration, improve, monitor_interval,
          cycles_per_analysis, system_factory, planner, effector_options,
-         clock_factory, rate_scale, observed)
+         rate_scale, observed)
         for plan in plans for job_seed in seeds
     ]
     with obs.span("faults.suite", plans=len(plans), seeds=len(seeds),
                   workers=workers or 1):
         if workers is not None and workers > 1:
             _check_picklable(plans, system_factory=system_factory,
-                             clock_factory=clock_factory,
                              effector_options=effector_options)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_campaign_job, jobs))

@@ -1,11 +1,12 @@
 """Pillar 2 — the code analyzer: AST rules for this repository's conventions.
 
 Generic linters cannot know that a :class:`~repro.middleware.scaffold.Scaffold`
-serializes handlers per brick, that ``Analyzer.register_algorithm`` is a
-deprecated shim around :class:`~repro.core.registry.AlgorithmRegistry`, or
-that a blocking call inside an event handler stalls a whole dispatch queue.
-These rules do.  Run them with ``python -m repro lint --code [paths]`` (CI
-runs them over ``src/repro``).
+serializes handlers per brick, that algorithms are (un)registered through
+:class:`~repro.core.registry.AlgorithmRegistry` rather than the removed
+``Analyzer.register_algorithm`` shim, or that a blocking call inside an
+event handler stalls a whole dispatch queue.  These rules do.  Run them
+with ``python -m repro lint --code [paths]`` (CI runs them over
+``src/repro``).
 
 Findings on a line carrying ``# lint: ignore`` (or
 ``# lint: ignore[CD001]`` for a specific rule) are suppressed, mirroring
@@ -278,15 +279,15 @@ class BypassedRegistryRule(CodeRule):
     rule_id = "CD003"
     severity = Severity.ERROR
     description = ("Algorithm (un)registration must go through "
-                   "AlgorithmRegistry; the Analyzer/AlgorithmContainer "
-                   "shims are deprecated and skip tier bookkeeping.")
+                   "AlgorithmRegistry; the Analyzer "
+                   "register_algorithm/unregister_algorithm shims were "
+                   "removed.")
     tags = frozenset({"api"})
 
     _SHIMS = {"register_algorithm", "unregister_algorithm"}
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        # The shims' own definitions live in analyzer.py; do not flag the
-        # file that implements (and deprecates) them.
+        # analyzer.py owns the analyzer's registry wiring; it is exempt.
         if os.path.basename(context.path) == "analyzer.py":
             return
         for node in ast.walk(context.tree):
@@ -294,7 +295,7 @@ class BypassedRegistryRule(CodeRule):
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in self._SHIMS:
                 yield self.finding(
-                    f"call to deprecated {node.func.attr}() bypasses "
+                    f"call to removed {node.func.attr}() bypasses "
                     "AlgorithmRegistry; use .registry.register(...) "
                     "instead",
                     file=context.path, line=node.lineno)

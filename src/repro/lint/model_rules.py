@@ -23,6 +23,7 @@ from typing import (
     Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type,
 )
 
+from repro.algorithms.compiled import has_delta_kernel
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
 )
@@ -441,9 +442,9 @@ class CompiledEngineAdvisoryRule(ModelRule):
             yield self.finding(
                 f"model size {hosts} hosts x {components} components "
                 f"(= {size}) exceeds the object-path comfort zone "
-                f"({self.COMFORT_ZONE}); ensure the evaluation engine's "
-                "compiled kernels are in use (use_kernels=True, built-in "
-                "objectives)",
+                f"({self.COMFORT_ZONE}); score it with a built-in objective "
+                "(or one with a registered kernel) so the evaluation "
+                "engine's compiled kernels serve it",
                 subject=f"model {context.model.name!r}",
                 hosts=hosts, components=components, size=size)
 
@@ -519,11 +520,11 @@ class InfeasiblePlacementRatioRule(ModelRule):
 class DeltaContractRule(ModelRule):
     rule_id = "MV015"
     severity = Severity.ERROR
-    description = ("Objectives declaring supports_delta=True must override "
-                   "move_delta with a real incremental implementation; "
-                   "inheriting the base recompute-from-scratch silently "
-                   "forfeits the O(degree) fast path the engine was "
-                   "promised.")
+    description = ("Objectives declaring supports_delta=True must serve "
+                   "move deltas incrementally, by overriding move_delta or "
+                   "through a registered compiled kernel; inheriting the "
+                   "base recompute-from-scratch silently forfeits the "
+                   "O(degree) fast path the engine was promised.")
     tags = frozenset({OBJECTIVES})
 
     def check(self, context: ModelLintContext) -> Iterable[Finding]:
@@ -536,10 +537,12 @@ class DeltaContractRule(ModelRule):
                                    subject=subject)
                 continue
             if getattr(cls, "supports_delta", False) and \
-                    move_delta is Objective.move_delta:
+                    move_delta is Objective.move_delta and \
+                    not has_delta_kernel(cls):
                 yield self.finding(
                     "declares supports_delta=True but inherits the base "
-                    "move_delta (full re-evaluation)", subject=subject)
+                    "move_delta (full re-evaluation) and has no compiled "
+                    "delta kernel", subject=subject)
 
 
 def default_objectives() -> Tuple[Type[Objective], ...]:

@@ -66,10 +66,6 @@ class DistributionConnector(Connector):
         #: comes (back) up, instead of being dropped as undeliverable.
         self.queue_when_disconnected = queue_when_disconnected
         self.offline_queue_limit = offline_queue_limit
-        #: Ship adjacent same-destination events as one framed batch when
-        #: flushing (migration release, offline-queue retry).  Kill switch
-        #: for the determinism property tests, which compare both modes.
-        self.coalesce = True
         #: (destination, event) pairs awaiting connectivity.
         self.offline_queue: list = []
         self.offline_flushed = 0
@@ -224,7 +220,7 @@ class DistributionConnector(Connector):
         instant the neighbor set cannot change under us (nothing in the
         batched path runs user callbacks).
         """
-        if not self.coalesce or len(events) < 2 \
+        if len(events) < 2 \
                 or destination not in self.network.neighbors(self.host):
             for event in events:
                 self._transmit(destination, event)
@@ -282,8 +278,7 @@ class DistributionConnector(Connector):
         total = len(pending)
         while index < total:
             destination, event = pending[index]
-            if self.coalesce \
-                    and destination in self.network.neighbors(self.host):
+            if destination in self.network.neighbors(self.host):
                 run = [event]
                 index += 1
                 while index < total and pending[index][0] == destination:

@@ -6,9 +6,7 @@ the framework interacts with the platform only through monitors and
 effectors, and both operate identically over this substrate.
 """
 
-from repro.sim.clock import (
-    LegacySimClock, PeriodicTask, ScheduledEvent, SimClock,
-)
+from repro.sim.clock import PeriodicTask, ScheduledEvent, SimClock
 from repro.sim.fluctuation import (
     DisconnectionProcess, FluctuationProcess, RandomWalkFluctuation,
     StepChange,
@@ -24,7 +22,6 @@ __all__ = [
     "FluctuationProcess",
     "InteractionRecord",
     "InteractionWorkload",
-    "LegacySimClock",
     "NetworkLink",
     "NetworkStats",
     "PeriodicTask",

@@ -36,7 +36,6 @@ cancel-heavy retry/timeout workloads.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
@@ -495,135 +494,3 @@ class SimClock:
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6g}, pending={self.pending})"
-
-
-class LegacySimClock:
-    """The pre-batching scheduler, kept verbatim as a reference.
-
-    One heap of :class:`ScheduledEvent` objects, one heap operation per
-    event, cancelled entries retained until their timestamp — exactly
-    the implementation :class:`SimClock` replaced.  The simulation-core
-    benchmark uses it as the baseline, and the determinism property
-    tests cross-check that :class:`SimClock` fires the identical
-    callback sequence on adversarial schedules.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-        self._queue: List[ScheduledEvent] = []
-        self._seq = itertools.count()
-        self._processed = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    @property
-    def processed(self) -> int:
-        return self._processed
-
-    def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> ScheduledEvent:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = ScheduledEvent(self._now + delay, next(self._seq),
-                               callback, tuple(args))
-        heapq.heappush(self._queue, event)
-        return event
-
-    def schedule_many(
-            self,
-            items: Iterable[Tuple[float, Callable[..., Any],
-                                  Tuple[Any, ...]]],
-    ) -> List[ScheduledEvent]:
-        return [self.schedule(delay, callback, *args)
-                for delay, callback, args in items]
-
-    def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> ScheduledEvent:
-        return self.schedule(time - self._now, callback, *args)
-
-    def post(self, callback: Callable[..., Any], *args: Any) -> None:
-        """Seed-cost equivalent of :meth:`SimClock.post`: a plain
-        zero-delay schedule whose handle is dropped (no pooling)."""
-        self.schedule(0.0, callback, *args)
-
-    def defer(self, delay: float, callback: Callable[..., Any],
-              *args: Any) -> None:
-        """Seed-cost equivalent of :meth:`SimClock.defer`."""
-        self.schedule(delay, callback, *args)
-
-    def every(self, interval: float, callback: Callable[..., Any],
-              *args: Any) -> PeriodicTask:
-        return PeriodicTask(self, interval, callback, args)
-
-    def step(self) -> bool:
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback(*event.args)
-            self._processed += 1
-            return True
-        return False
-
-    def run(self, duration: Optional[float] = None,
-            max_events: int = 1_000_000_000) -> int:
-        deadline = None if duration is None else self._now + duration
-        fired = 0
-        while self._queue and fired < max_events:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if deadline is not None and head.time > deadline:
-                break
-            self.step()
-            fired += 1
-        if deadline is not None and self._now < deadline:
-            self._now = deadline
-        return fired
-
-    def run_until(self, time: float, max_events: int = 1_000_000_000) -> int:
-        if time < self._now:
-            raise ValueError("run_until target is in the past")
-        return self.run(time - self._now, max_events)
-
-    def run_while(self, predicate: Callable[[], Any],
-                  max_events: Optional[int] = None) -> int:
-        """The seed idiom :meth:`SimClock.run_while` replaced: one
-        :meth:`step` call per event, predicate checked between steps."""
-        fired = 0
-        while (max_events is None or fired < max_events) and predicate():
-            if not self.step():
-                break
-            fired += 1
-        return fired
-
-    def run_while_pending(self, container: Any, deadline: float) -> int:
-        """Seed-cost equivalent of :meth:`SimClock.run_while_pending`:
-        the original per-event ``step()`` loop with the condition
-        evaluated between steps."""
-        fired = 0
-        while container and self._now < deadline:
-            if not self.step():
-                break
-            fired += 1
-        return fired
-
-    def advance(self, duration: float) -> None:
-        if duration < 0:
-            raise ValueError("cannot advance backwards")
-        live = [e.time for e in self._queue if not e.cancelled]
-        if live and min(live) < self._now + duration:
-            raise ValueError(
-                "advance() would skip scheduled events; use run()")
-        self._now += duration
-
-    def __repr__(self) -> str:
-        return f"LegacySimClock(now={self._now:.6g}, pending={self.pending})"

@@ -170,6 +170,10 @@ class TestKernelRegistry:
 
     def test_subclass_does_not_inherit_kernel(self, tiny_model):
         class Tweaked(AvailabilityObjective):
+            # No kernel and no move_delta override: moves are scored by
+            # full re-evaluation, so the class must not claim deltas.
+            supports_delta = False
+
             def evaluate(self, model, deployment):
                 return 0.5
 

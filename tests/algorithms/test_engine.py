@@ -326,16 +326,6 @@ class TestKernelRouting:
         assert base + delta == pytest.approx(
             availability.evaluate(tiny_model, moved), abs=1e-9)
 
-    def test_use_kernels_false_takes_object_path(self, tiny_model,
-                                                 availability):
-        engine = EvaluationEngine(availability, use_kernels=False)
-        deployment = dict(tiny_model.deployment)
-        value = engine.evaluate(tiny_model, deployment)
-        engine.move_delta(tiny_model, deployment, "c1", "hB")
-        assert engine.stats.kernel_evaluations == 0
-        assert engine.stats.kernel_deltas == 0
-        assert value == availability.evaluate(tiny_model, deployment)
-
     def test_custom_objective_falls_back(self, tiny_model):
         class Custom(Objective):
             name = "custom"

@@ -113,7 +113,7 @@ class TestResultMetadata:
         assert result.elapsed >= 0.0
         assert result.evaluations > 0
         assert result.extra["optimal"]
-        assert "moves" in result.summary()
+        assert "moves" in result.summary_line()
 
     def test_moves_counted_from_initial(self, tiny_model, availability):
         result = ExactAlgorithm(availability, ConstraintSet()).run(

@@ -31,6 +31,7 @@ from repro.core.constraints import (
 from repro.core.errors import AlgorithmError, NoValidDeploymentError
 from repro.core.objectives import AvailabilityObjective, ThroughputObjective
 from repro.desi import Generator, GeneratorConfig
+from tests.constraint_paths import object_path
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "search_determinism_golden.json"
 
@@ -122,9 +123,7 @@ def test_compiled_and_object_checkers_yield_identical_results():
             for obj_name, obj_factory in _objectives():
                 for name, factory in _algorithms():
                     fast = factory(obj_factory(), constraints)
-                    slow = factory(obj_factory(), constraints)
-                    slow.use_compiled = False
-                    assert fast.use_compiled, "compiled path must be default"
+                    slow = factory(obj_factory(), object_path(constraints))
                     try:
                         fast_result = fast.run(model)
                     except (AlgorithmError, NoValidDeploymentError) as exc:

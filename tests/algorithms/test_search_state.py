@@ -21,6 +21,7 @@ from repro.core.objectives import (
     AvailabilityObjective, CommunicationCostObjective, ThroughputObjective,
 )
 from repro.desi import Generator, GeneratorConfig
+from tests.constraint_paths import object_path
 
 
 def _model(seed=5, hosts=5, components=12):
@@ -63,19 +64,21 @@ def _brute_force_best(state):
     CommunicationCostObjective,   # neighbor-local, minimize
     ThroughputObjective,          # bottleneck: full invalidation per move
 ])
-@pytest.mark.parametrize("use_compiled", [True, False])
+@pytest.mark.parametrize("compiled", [True, False])
 def test_best_move_matches_brute_force_along_trajectory(objective_cls,
-                                                        use_compiled):
+                                                        compiled):
     model = _model()
     constraints = _rich_constraints(model)
+    if not compiled:
+        constraints = object_path(constraints)
     objective = objective_cls()
     engine = EvaluationEngine(objective, constraints)
     state = SearchState(model, constraints, engine, objective,
-                        model.deployment, use_compiled=use_compiled)
+                        model.deployment)
+    assert state.checker.compiled is compiled
     reference = SearchState(model, constraints,
                             EvaluationEngine(objective, constraints),
-                            objective, model.deployment,
-                            use_compiled=use_compiled)
+                            objective, model.deployment)
     for step in range(12):
         move = state.best_move()
         expected = _brute_force_best(reference)
@@ -93,11 +96,11 @@ def test_compiled_and_object_frontiers_take_identical_paths():
     constraints = _rich_constraints(model)
     objective = AvailabilityObjective()
     states = [
-        SearchState(model, constraints, EvaluationEngine(objective,
-                                                         constraints),
-                    objective, model.deployment, use_compiled=flag)
-        for flag in (True, False)
+        SearchState(model, checked, EvaluationEngine(objective, checked),
+                    objective, model.deployment)
+        for checked in (constraints, object_path(constraints))
     ]
+    assert [s.checker.compiled for s in states] == [True, False]
     while True:
         moves = [s.best_move() for s in states]
         assert moves[0] == moves[1]
@@ -134,7 +137,8 @@ def test_apply_keeps_checker_mapping_and_array_in_sync():
     model = _model(seed=9)
     constraints = _rich_constraints(model)
     objective = AvailabilityObjective()
-    state = SearchState(model, constraints, None, objective,
+    state = SearchState(model, constraints,
+                        EvaluationEngine(objective, constraints), objective,
                         model.deployment)
     for __ in range(6):
         move = state.best_move()
@@ -164,11 +168,12 @@ def test_swap_allowed_permits_exact_fit_exchange():
     model.deploy("v", "h0")
     model.deploy("y", "h1")
     model.deploy("u", "h1")
-    constraints = ConstraintSet([MemoryConstraint()])
-    for use_compiled in (True, False):
-        state = SearchState(model, constraints, None,
-                            AvailabilityObjective(), model.deployment,
-                            use_compiled=use_compiled)
+    objective = AvailabilityObjective()
+    compiled = ConstraintSet([MemoryConstraint()])
+    for constraints in (compiled, object_path(compiled)):
+        state = SearchState(model, constraints,
+                            EvaluationEngine(objective, constraints),
+                            objective, model.deployment)
         ya, vb = state.component_index("y"), state.component_index("v")
         assert state.best_move() is None  # both hosts full: no single move
         assert state.swap_allowed(ya, vb)

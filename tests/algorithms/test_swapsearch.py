@@ -73,6 +73,7 @@ class TestSwapSearch:
 
     def test_swap_delta_is_exact(self, availability, small_model):
         from repro.algorithms import SearchState
+        from repro.algorithms.engine import EvaluationEngine
         assignment = dict(small_model.deployment)
         components = small_model.component_ids
         comp_a, comp_b = components[0], components[-1]
@@ -80,7 +81,8 @@ class TestSwapSearch:
             assignment[comp_b] = next(
                 h for h in small_model.host_ids
                 if h != assignment[comp_a])
-        state = SearchState(small_model, ConstraintSet(), None, availability,
+        state = SearchState(small_model, ConstraintSet(),
+                            EvaluationEngine(availability), availability,
                             assignment)
         before = availability.evaluate(small_model, assignment)
         delta = state.swap_delta(state.component_index(comp_a),

@@ -77,23 +77,24 @@ class TestAlgorithmSelection:
 
 class TestAlgorithmSuiteManagement:
     def test_register_and_unregister(self, analyzer):
-        analyzer.register_algorithm(
+        analyzer.registry.register(
             "extra", lambda: HillClimbingAlgorithm(
                 analyzer.objective, analyzer.constraints), tier="fast")
         assert "extra" in analyzer.algorithm_names
-        analyzer.unregister_algorithm("extra")
+        analyzer.registry.unregister("extra")
         assert "extra" not in analyzer.algorithm_names
 
     def test_register_moves_between_tiers(self, analyzer):
-        analyzer.register_algorithm(
+        analyzer.registry.register(
             "avala", lambda: HillClimbingAlgorithm(
-                analyzer.objective, analyzer.constraints), tier="fast")
+                analyzer.objective, analyzer.constraints), tier="fast",
+            replace=True)
         assert "avala" in analyzer._tiers["fast"]
         assert "avala" not in analyzer._tiers["thorough"]
 
     def test_unknown_tier_rejected(self, analyzer):
         with pytest.raises(RegistryError):
-            analyzer.register_algorithm("x", lambda: None, tier="bogus")
+            analyzer.registry.register("x", lambda: None, tier="bogus")
 
 
 class TestDecisions:

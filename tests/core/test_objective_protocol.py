@@ -1,14 +1,15 @@
 """Property tests for the Objective incremental-evaluation contract.
 
-Every objective promises that ``move_delta`` agrees with two full
+Every objective promises that a move delta agrees with two full
 evaluations to floating-point tolerance:
 
-    evaluate(moved) == evaluate(base) + move_delta(base, component, host)
+    evaluate(moved) == evaluate(base) + delta(base, component, host)
 
-within 1e-9, whether the objective serves the delta incrementally
-(``supports_delta = True``) or falls back to the base recompute-from-scratch
-implementation.  The tests sweep seeded generated architectures and many
-random single-component moves per objective.
+within 1e-9, where the delta is what the evaluation engine serves: the
+compiled kernel's incremental delta for the built-in objectives, the
+objective's own ``move_delta`` otherwise.  The tests sweep seeded
+generated architectures and many random single-component moves per
+objective.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from repro.algorithms.engine import EvaluationEngine
 from repro.core.objectives import (
     AvailabilityObjective, CommunicationCostObjective, DurabilityObjective,
     LatencyObjective, Objective, SecurityObjective, ThroughputObjective,
@@ -73,14 +75,16 @@ def test_move_delta_matches_two_full_evaluations(objective_name, seed):
     model = _model(seed)
     rng = random.Random(seed * 100 + 9)
     base, moves = _moves(model, rng)
+    engine = EvaluationEngine(objective)
     base_value = objective.evaluate(model, base)
     for component, new_host in moves:
         moved = dict(base)
         moved[component] = new_host
-        delta = objective.move_delta(model, base, component, new_host)
+        delta = engine.move_delta(model, base, component, new_host)
         assert objective.evaluate(model, moved) == pytest.approx(
             base_value + delta, abs=1e-9), (
             f"{objective_name}: move {component}->{new_host} disagrees")
+    assert engine.stats.kernel_deltas == len(moves)
 
 
 @pytest.mark.parametrize("objective_name", sorted(OBJECTIVES))
@@ -105,7 +109,8 @@ class TestSupportsDeltaDeclarations:
 
     def test_global_aggregations_support_delta(self):
         # Bottleneck (max) and lifetime (min) aggregations localize a move
-        # with per-host-pair demand / per-host draw accumulators.
+        # with the kernels' per-host-pair demand / per-host draw
+        # accumulators.
         assert ThroughputObjective.supports_delta is True
         assert DurabilityObjective.supports_delta is True
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms.engine import EvaluationEngine
 from repro.core.model import DeploymentModel
 from repro.core.objectives import (
     MAXIMIZE, MINIMIZE, UNREACHABLE_COST, AvailabilityObjective,
@@ -42,12 +43,13 @@ class TestAvailability:
 
     def test_move_delta_matches_recompute(self, small_model):
         objective = AvailabilityObjective()
+        engine = EvaluationEngine(objective)
         deployment = dict(small_model.deployment)
         base = objective.evaluate(small_model, deployment)
         for component in small_model.component_ids:
             for host in small_model.host_ids:
-                delta = objective.move_delta(small_model, deployment,
-                                             component, host)
+                delta = engine.move_delta(small_model, deployment,
+                                          component, host)
                 moved = dict(deployment)
                 moved[component] = host
                 expected = objective.evaluate(small_model, moved) - base
@@ -106,12 +108,13 @@ class TestLatency:
 
     def test_move_delta_matches_recompute(self, small_model):
         objective = LatencyObjective()
+        engine = EvaluationEngine(objective)
         deployment = dict(small_model.deployment)
         base = objective.evaluate(small_model, deployment)
         for component in small_model.component_ids[:4]:
             for host in small_model.host_ids:
-                delta = objective.move_delta(small_model, deployment,
-                                             component, host)
+                delta = engine.move_delta(small_model, deployment,
+                                          component, host)
                 moved = dict(deployment)
                 moved[component] = host
                 expected = objective.evaluate(small_model, moved) - base
@@ -139,12 +142,13 @@ class TestCommunicationCost:
 
     def test_move_delta_matches_recompute(self, small_model):
         objective = CommunicationCostObjective()
+        engine = EvaluationEngine(objective)
         deployment = dict(small_model.deployment)
         base = objective.evaluate(small_model, deployment)
         for component in small_model.component_ids[:4]:
             for host in small_model.host_ids:
-                delta = objective.move_delta(small_model, deployment,
-                                             component, host)
+                delta = engine.move_delta(small_model, deployment,
+                                          component, host)
                 moved = dict(deployment)
                 moved[component] = host
                 assert delta == pytest.approx(
@@ -193,7 +197,8 @@ class TestWeighted:
         ])
         deployment = dict(tiny_model.deployment)
         base = combo.evaluate(tiny_model, deployment)
-        delta = combo.move_delta(tiny_model, deployment, "c3", "hA")
+        delta = EvaluationEngine(combo).move_delta(tiny_model, deployment,
+                                                   "c3", "hA")
         moved = dict(deployment)
         moved["c3"] = "hA"
         assert delta == pytest.approx(

@@ -4,6 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.engine import EvaluationEngine
 from repro.core import AvailabilityObjective, DeploymentModel
 from repro.core.model import Deployment
 from repro.core.monitoring import StabilityDetector
@@ -121,7 +122,8 @@ def test_full_collocation_dominates(model):
 @settings(max_examples=30, deadline=None)
 @given(random_models(), st.integers(0, 100), st.integers(0, 100))
 def test_move_delta_consistency(model, comp_pick, host_pick):
-    """For every objective, move_delta == full recompute difference."""
+    """For every objective, the engine's move delta == full recompute
+    difference."""
     components = model.component_ids
     hosts = model.host_ids
     component = components[comp_pick % len(components)]
@@ -130,7 +132,8 @@ def test_move_delta_consistency(model, comp_pick, host_pick):
     for objective in (AvailabilityObjective(), LatencyObjective(),
                       CommunicationCostObjective()):
         base = objective.evaluate(model, deployment)
-        delta = objective.move_delta(model, deployment, component, host)
+        delta = EvaluationEngine(objective).move_delta(model, deployment,
+                                                       component, host)
         moved = dict(deployment)
         moved[component] = host
         expected = objective.evaluate(model, moved) - base

@@ -90,22 +90,6 @@ class TestProtocolConformance:
         assert json.loads(first) == json_safe(report.to_dict())
 
 
-class TestDeprecatedAliases:
-    def test_summary_aliases_warn_and_forward(self):
-        for report in make_reports():
-            old = getattr(report, "summary", None)
-            if old is None:
-                continue
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                assert old() == report.summary_line()
-
-    def test_resilience_as_dict_alias(self):
-        report = [r for r in make_reports()
-                  if isinstance(r, ResilienceReport)][0]
-        with pytest.warns(DeprecationWarning):
-            assert report.as_dict() == report.to_dict()
-
-
 class TestJsonSafe:
     def test_mappings_sequences_sets_and_objects(self):
         class WithToDict:

@@ -32,7 +32,7 @@ class TestReactivity:
         seen = []
         desi.results.add_view(lambda aspect, detail: seen.append(aspect))
         container = AlgorithmContainer(desi)
-        container.register("avala", lambda: AvalaAlgorithm(
+        container.registry.register("avala", lambda: AvalaAlgorithm(
             AvailabilityObjective(), ConstraintSet([MemoryConstraint()]),
             seed=1))
         container.invoke("avala")
@@ -73,12 +73,11 @@ class TestAlgoResultData:
         objective = AvailabilityObjective()
         constraints = ConstraintSet([MemoryConstraint()])
         container = AlgorithmContainer(desi)
-        container.register("avala",
-                           lambda: AvalaAlgorithm(objective, constraints,
-                                                  seed=1))
-        container.register("stochastic",
-                           lambda: StochasticAlgorithm(objective, constraints,
-                                                       seed=1, iterations=5))
+        container.registry.register(
+            "avala", lambda: AvalaAlgorithm(objective, constraints, seed=1))
+        container.registry.register(
+            "stochastic", lambda: StochasticAlgorithm(
+                objective, constraints, seed=1, iterations=5))
         container.invoke_all()
         best = desi.results.best(objective)
         assert best is not None
@@ -86,7 +85,7 @@ class TestAlgoResultData:
 
     def test_effect_estimates_recorded(self, desi):
         container = AlgorithmContainer(desi)
-        container.register("avala", lambda: AvalaAlgorithm(
+        container.registry.register("avala", lambda: AvalaAlgorithm(
             AvailabilityObjective(), ConstraintSet([MemoryConstraint()]),
             seed=1))
         container.invoke("avala")
@@ -97,7 +96,7 @@ class TestAlgoResultData:
     def test_clear(self, desi):
         desi.results.record  # attribute exists
         container = AlgorithmContainer(desi)
-        container.register("avala", lambda: AvalaAlgorithm(
+        container.registry.register("avala", lambda: AvalaAlgorithm(
             AvailabilityObjective(), ConstraintSet(), seed=1))
         container.invoke("avala")
         desi.results.clear()
@@ -107,19 +106,19 @@ class TestAlgoResultData:
 class TestAlgorithmContainer:
     def test_register_invoke_unregister(self, desi):
         container = AlgorithmContainer(desi)
-        container.register("avala", lambda: AvalaAlgorithm(
+        container.registry.register("avala", lambda: AvalaAlgorithm(
             AvailabilityObjective(), ConstraintSet(), seed=1))
         assert container.algorithm_names == ("avala",)
         result = container.invoke("avala")
         assert result.algorithm == "avala"
-        container.unregister("avala")
+        container.registry.unregister("avala")
         assert container.algorithm_names == ()
 
     def test_duplicate_registration_rejected(self, desi):
         container = AlgorithmContainer(desi)
-        container.register("x", lambda: None)
+        container.registry.register("x", lambda: None)
         with pytest.raises(DuplicateAlgorithmError):
-            container.register("x", lambda: None)
+            container.registry.register("x", lambda: None)
 
     def test_invoke_unknown_rejected(self, desi):
         with pytest.raises(UnknownAlgorithmError):
@@ -179,7 +178,7 @@ class TestViews:
 
     def test_results_panel_lists_runs(self, desi):
         container = AlgorithmContainer(desi)
-        container.register("avala", lambda: AvalaAlgorithm(
+        container.registry.register("avala", lambda: AvalaAlgorithm(
             AvailabilityObjective(), ConstraintSet([MemoryConstraint()]),
             seed=1))
         container.invoke("avala")

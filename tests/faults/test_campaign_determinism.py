@@ -1,10 +1,11 @@
 """Campaign-level determinism across the optimization switches.
 
 A resilience report is a pure function of (plan, seed).  That contract
-must survive every throughput optimization: the batched clock vs the
-legacy scheduler, connector message coalescing on vs off, and serial vs
-process-pool suites — even across interpreters with different
-``PYTHONHASHSEED`` values.
+must survive every throughput optimization: connector message coalescing
+on vs off, and serial vs process-pool suites — even across interpreters
+with different ``PYTHONHASHSEED`` values.  The scheduler itself is pinned
+by the golden reports (``test_golden_reports.py``) and the clock's
+firing-order contract checks (``tests/sim``).
 """
 
 import hashlib
@@ -18,7 +19,6 @@ import pytest
 from repro.faults import generate_campaign, run_campaign
 from repro.middleware.connectors import DistributionConnector
 from repro.scenarios import CrisisConfig, build_crisis_scenario
-from repro.sim.clock import LegacySimClock
 
 DURATION = 10.0
 
@@ -39,52 +39,33 @@ def partitions_plan():
     return _plan("rolling-partitions", 7)
 
 
+def _transmit_one_by_one(self, destination, events):
+    """The per-event path ``_transmit_many`` claims to be equivalent to."""
+    for event in events:
+        self._transmit(destination, event)
+
+
 class TestOptimizationSwitches:
-    def test_legacy_clock_renders_identical_report(self, churn_plan):
-        fast = run_campaign(churn_plan, seed=5, scenario="crisis",
-                            duration=DURATION)
-        legacy = run_campaign(churn_plan, seed=5, scenario="crisis",
-                              duration=DURATION,
-                              clock_factory=LegacySimClock)
-        assert fast.render() == legacy.render()
-
-    def test_legacy_clock_partitions_identical(self, partitions_plan):
-        fast = run_campaign(partitions_plan, seed=11, scenario="crisis",
-                            duration=DURATION)
-        legacy = run_campaign(partitions_plan, seed=11, scenario="crisis",
-                              duration=DURATION,
-                              clock_factory=LegacySimClock)
-        assert fast.render() == legacy.render()
-
     def test_coalescing_off_renders_identical_report(self, churn_plan,
                                                      monkeypatch):
         baseline = run_campaign(churn_plan, seed=5, scenario="crisis",
                                 duration=DURATION)
-        original = DistributionConnector.__init__
-
-        def uncoalesced(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            self.coalesce = False
-
-        monkeypatch.setattr(DistributionConnector, "__init__", uncoalesced)
+        monkeypatch.setattr(DistributionConnector, "_transmit_many",
+                            _transmit_one_by_one)
         plain = run_campaign(churn_plan, seed=5, scenario="crisis",
                              duration=DURATION)
         assert plain.render() == baseline.render()
 
     def test_all_switches_off_partitions_identical(self, partitions_plan,
                                                    monkeypatch):
+        """Every optimization switch left (connector coalescing) off,
+        under rolling partitions."""
         baseline = run_campaign(partitions_plan, seed=11, scenario="crisis",
                                 duration=DURATION)
-        original = DistributionConnector.__init__
-
-        def uncoalesced(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            self.coalesce = False
-
-        monkeypatch.setattr(DistributionConnector, "__init__", uncoalesced)
+        monkeypatch.setattr(DistributionConnector, "_transmit_many",
+                            _transmit_one_by_one)
         plain = run_campaign(partitions_plan, seed=11, scenario="crisis",
-                             duration=DURATION,
-                             clock_factory=LegacySimClock)
+                             duration=DURATION)
         assert plain.render() == baseline.render()
 
 

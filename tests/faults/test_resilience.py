@@ -56,7 +56,7 @@ class TestReproducibility:
         assert data["faults"]["injected"] > 0
         assert 0.0 <= data["availability"]["delivered"] <= 1.0
         assert data["detail"]["post_lint_errors"] == 0
-        assert report.summary().startswith(plan.name)
+        assert report.summary_line().startswith(plan.name)
 
 
 class TestPartitionMidMigration:

@@ -100,4 +100,4 @@ class TestSerialParallelEquivalence:
         with pytest.raises(FaultPlanError, match="picklable"):
             run_campaign(plan, scenario="crisis", duration=DURATION,
                          seeds=[3, 4], workers=2,
-                         clock_factory=lambda: None)
+                         system_factory=lambda clock, seed: None)

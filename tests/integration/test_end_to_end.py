@@ -128,7 +128,7 @@ class TestDeSiAgainstLiveSystem:
 
         objective = AvailabilityObjective()
         container = AlgorithmContainer(desi)
-        container.register("avala", lambda: AvalaAlgorithm(
+        container.registry.register("avala", lambda: AvalaAlgorithm(
             objective, scenario.constraints, seed=2))
         container.invoke("avala")
         best = desi.results.best(objective)

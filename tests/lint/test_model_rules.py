@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.algorithms import compiled
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
     MemoryConstraint,
 )
 from repro.core.model import DeploymentModel
-from repro.core.objectives import AvailabilityObjective, Objective
+from repro.core.objectives import (
+    AvailabilityObjective, CommunicationCostObjective, DurabilityObjective,
+    LatencyObjective, Objective, SecurityObjective, ThroughputObjective,
+)
 from repro.lint.core import Severity
 from repro.lint.model_rules import (
     DEPLOYMENT, ModelLintContext, default_objectives, model_rule_registry,
@@ -163,6 +167,7 @@ class TestTopologyRules:
         assert finding.severity is Severity.INFO
         assert finding.detail["size"] == 2500
         assert "compiled" in finding.message
+        assert "registered kernel" in finding.message
 
     def test_mv016_silent_within_comfort_zone(self, clean_model):
         report = verify_model(clean_model,
@@ -222,6 +227,36 @@ class TestDeltaContractRule:
     def test_mv015_passes_real_objectives(self, clean_model):
         report = verify_model(clean_model, objectives=default_objectives())
         assert "MV015" not in rules_found(report)
+
+    def test_mv015_accepts_builtins_served_by_kernels(self, clean_model):
+        builtins = [AvailabilityObjective, LatencyObjective,
+                    CommunicationCostObjective, SecurityObjective,
+                    ThroughputObjective, DurabilityObjective]
+        # The built-ins inherit the base move_delta: their deltas come
+        # from the registered compiled kernels alone.
+        assert all(cls.move_delta is Objective.move_delta
+                   for cls in builtins)
+        report = verify_model(clean_model, objectives=builtins)
+        assert "MV015" not in rules_found(report)
+
+    def test_mv015_accepts_registered_delta_kernel(self, clean_model,
+                                                   monkeypatch):
+        class Kernelled:  # not an Objective subclass; see above
+            name = "kernelled"
+            supports_delta = True
+            move_delta = Objective.move_delta
+
+        class DeltaKernel:
+            supports_delta = True
+
+        monkeypatch.setitem(compiled._KERNEL_FACTORIES, Kernelled,
+                            DeltaKernel)
+        report = verify_model(clean_model, objectives=[Kernelled])
+        assert "MV015" not in rules_found(report)
+
+        DeltaKernel.supports_delta = False
+        report = verify_model(clean_model, objectives=[Kernelled])
+        assert "MV015" in rules_found(report)
 
 
 class TestContextAndRegistry:

@@ -35,6 +35,20 @@ JSON_VALUES = st.recursive(
     max_leaves=25)
 
 
+def best_of_interleaved(repeats, first, second):
+    """Best wall time of each of two callables, timed alternately within
+    every round so a burst of machine load hits both sides alike."""
+    best_first = best_second = float("inf")
+    for __ in range(repeats):
+        started = time.perf_counter()
+        first()
+        best_first = min(best_first, time.perf_counter() - started)
+        started = time.perf_counter()
+        second()
+        best_second = min(best_second, time.perf_counter() - started)
+    return best_first, best_second
+
+
 class TestSizeFastPath:
     @settings(max_examples=300, deadline=None)
     @given(value=JSON_VALUES)
@@ -120,14 +134,6 @@ class TestSlots:
                 self.event_id = 1
                 self._admin = name.startswith("admin.")
 
-        def best_of(repeats, fn):
-            best = float("inf")
-            for __ in range(repeats):
-                started = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - started)
-            return best
-
         payload = {"seq": 1}
 
         def slotted():
@@ -138,8 +144,8 @@ class TestSlots:
             for __ in range(4000):
                 DictEvent("app.msg", dict(payload))
 
-        slotted_time = best_of(5, slotted)
-        dict_time = best_of(5, dict_backed)
+        slotted_time, dict_time = best_of_interleaved(5, slotted,
+                                                      dict_backed)
         assert slotted_time < dict_time * 2.0, \
             f"slotted {slotted_time:.6f}s vs dict {dict_time:.6f}s"
 
@@ -149,14 +155,6 @@ class TestSlots:
         payloads = [{"seq": i, "component": f"comp-{i}", "size": 1.5}
                     for i in range(50)]
 
-        def best_of(repeats, fn):
-            best = float("inf")
-            for __ in range(repeats):
-                started = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - started)
-            return best
-
         def fast():
             for payload in payloads * 20:
                 _json_size_fast(payload)
@@ -165,7 +163,6 @@ class TestSlots:
             for payload in payloads * 20:
                 len(json.dumps(payload))
 
-        fast_time = best_of(5, fast)
-        encoder_time = best_of(5, encoder)
+        fast_time, encoder_time = best_of_interleaved(5, fast, encoder)
         assert fast_time < encoder_time * 1.2, \
             f"fast {fast_time:.6f}s vs encoder {encoder_time:.6f}s"

@@ -11,7 +11,7 @@ barrier is worse than the deployment the schedule started from.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.search import make_checker
+from repro.algorithms.search import ObjectConstraintChecker, make_checker
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
     MemoryConstraint,
@@ -79,8 +79,8 @@ def test_barrier_states_agree_across_constraint_paths(case):
         schedule = planner.schedule(target)
     except ScheduleError:
         return  # no safe ordering exists for this draw — nothing to check
-    compiled = make_checker(model, constraints, use_compiled=True)
-    objects = make_checker(model, constraints, use_compiled=False)
+    compiled = make_checker(model, constraints)
+    objects = ObjectConstraintChecker(model, constraints)
     start = dict(schedule.current)
     compiled.reset(start)
     objects.reset(start)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LegacySimClock, SimClock
+from repro.sim import SimClock
 
 
 class TestScheduling:
@@ -173,39 +173,55 @@ class TestCancelCompaction:
         assert fired2 == ["killer"]
 
 
-class TestLegacyParity:
-    """LegacySimClock is the pre-batching reference implementation; the
-    two clocks must fire identical sequences on mixed schedules."""
+def _ordered(log):
+    """True when *log* of (time, schedule order) pairs is sorted."""
+    return log == sorted(log)
+
+
+class TestFiringContract:
+    """The firing log is ordered by (time, scheduling order), cancelled
+    handles never fire, and every other event due before the horizon
+    fires exactly once."""
 
     def test_interleaved_zero_and_positive_delays(self):
-        def drive(clock):
-            fired = []
+        clock = SimClock()
+        scheduled = []  # (due time, scheduling order)
+        fired = []
 
-            def cascade(label, budget):
-                fired.append((clock.now, label))
-                if budget:
-                    clock.schedule(0.0, cascade, f"{label}.z", budget - 1)
-                    clock.schedule(0.5, cascade, f"{label}.p", budget - 1)
+        def schedule(delay, budget):
+            seq = len(scheduled)
+            scheduled.append((clock.now + delay, seq))
+            clock.schedule(delay, cascade, seq, budget)
 
-            clock.schedule(0.0, cascade, "a", 3)
-            clock.schedule(1.0, cascade, "b", 2)
-            clock.schedule(1.0, cascade, "c", 1)
-            clock.run(10.0)
-            return fired, clock.processed, clock.now
+        def cascade(seq, budget):
+            fired.append((clock.now, seq))
+            if budget:
+                schedule(0.0, budget - 1)
+                schedule(0.5, budget - 1)
 
-        assert drive(SimClock()) == drive(LegacySimClock())
+        schedule(0.0, 3)
+        schedule(1.0, 2)
+        schedule(1.0, 1)
+        clock.run(10.0)
+        assert _ordered(fired)
+        assert sorted(fired) == sorted(scheduled)
+        # Budgets 3, 2 and 1 spawn 1+2+4+8, 1+2+4 and 1+2 events.
+        assert clock.processed == len(fired) == 25
+        assert clock.now == 10.0
 
-    def test_cancellation_parity(self):
-        def drive(clock):
-            fired = []
-            handles = [clock.schedule(float(i % 3), fired.append, i)
-                       for i in range(12)]
-            for handle in handles[1::3]:
-                handle.cancel()
-            clock.run()
-            return fired, clock.processed
-
-        assert drive(SimClock()) == drive(LegacySimClock())
+    def test_cancelled_handles_never_fire(self):
+        clock = SimClock()
+        fired = []
+        handles = [clock.schedule(float(i % 3), fired.append, i)
+                   for i in range(12)]
+        for handle in handles[1::3]:
+            handle.cancel()
+        clock.run()
+        expected = [i for i in range(12) if i % 3 != 1]
+        assert sorted(fired) == expected
+        assert _ordered([(float(i % 3), i) for i in fired])
+        assert clock.processed == len(expected)
+        assert clock.pending == 0
 
 
 class TestRun:

@@ -1,17 +1,17 @@
-"""Property-based determinism: batched paths == unbatched paths.
+"""Property-based determinism for the batched simulation core.
 
-The batched simulation core (tuple-heap clock with a ready deque,
-``schedule_many``, vectorized ``send_many``) promises *bit-for-bit* the
-same event order as the pre-optimization implementations.  These
-properties drive randomized schedules and traffic through both and
-require identical observable histories — same-instant FIFO ties,
-cancellations, lossy links, and callback interleavings included.
+The clock (tuple-heap plus same-instant ready deque, ``schedule_many``)
+must honour the discrete-event contract on randomized schedules: the
+firing log is ordered by (time, scheduling order), cancelled handles
+never fire, and every other event due before the horizon fires exactly
+once.  The batched paths (``schedule_many``, vectorized ``send_many``)
+must reproduce their per-item twins bit-for-bit — same-instant FIFO
+ties, cancellations, lossy links, and callback interleavings included.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimClock, SimulatedNetwork
-from repro.sim.clock import LegacySimClock
 
 #: Delays drawn from a small set so same-instant collisions (the FIFO
 #: tie-break cases) are common, with exact float arithmetic.
@@ -21,49 +21,66 @@ SCHEDULE_SPECS = st.lists(
     st.tuples(DELAYS, st.lists(DELAYS, max_size=3)),
     min_size=1, max_size=25)
 
+HORIZON = 50.0
 
-def _drive(clock_cls, spec, cancel_picks, batch):
-    """Replay one randomized schedule on *clock_cls*; return the firing
-    log.  Each top-level event may schedule follow-ups from inside its
-    callback (exercising mid-run scheduling at the current instant)."""
-    clock = clock_cls()
+
+def _drive(spec, cancel_picks, batch):
+    """Replay one randomized schedule; return the firing log of
+    (time, scheduling order) pairs, every scheduled (due time, order)
+    pair, the cancelled orders, and the clock's final state.  Each
+    top-level event may schedule follow-ups from inside its callback
+    (exercising mid-run scheduling at the current instant)."""
+    clock = SimClock()
     log = []
+    scheduled = []
 
-    def fire(tag, followups):
-        log.append((clock.now, tag))
-        for index, delay in enumerate(followups):
-            clock.schedule(delay, fire, f"{tag}.{index}", ())
+    def fire(seq, followups):
+        log.append((clock.now, seq))
+        for delay in followups:
+            scheduled.append((clock.now + delay, len(scheduled)))
+            clock.schedule(delay, fire, scheduled[-1][1], ())
 
+    for delay, __ in spec:
+        scheduled.append((delay, len(scheduled)))
     if batch:
         handles = clock.schedule_many(
-            [(delay, fire, (str(i), tuple(follow)))
+            [(delay, fire, (i, tuple(follow)))
              for i, (delay, follow) in enumerate(spec)])
     else:
-        handles = [clock.schedule(delay, fire, str(i), tuple(follow))
+        handles = [clock.schedule(delay, fire, i, tuple(follow))
                    for i, (delay, follow) in enumerate(spec)]
+    cancelled = set()
     for pick in cancel_picks:
-        handles[pick % len(handles)].cancel()
-    clock.run(50.0)
-    return log, clock.now, clock.pending
+        index = pick % len(handles)
+        handles[index].cancel()
+        cancelled.add(index)
+    clock.run(HORIZON)
+    return log, scheduled, cancelled, (clock.now, clock.pending)
 
 
 class TestClockParity:
     @settings(max_examples=60, deadline=None)
     @given(spec=SCHEDULE_SPECS,
            cancel_picks=st.lists(st.integers(0, 10 ** 6), max_size=8))
-    def test_fast_clock_matches_legacy_firing_order(self, spec,
-                                                    cancel_picks):
-        fast = _drive(SimClock, spec, cancel_picks, batch=False)
-        legacy = _drive(LegacySimClock, spec, cancel_picks, batch=False)
-        assert fast == legacy
+    def test_firing_log_honours_event_contract(self, spec, cancel_picks):
+        log, scheduled, cancelled, (now, pending) = _drive(
+            spec, cancel_picks, batch=False)
+        assert log == sorted(log)
+        fired = [seq for __, seq in log]
+        assert not cancelled & set(fired)
+        due = sorted((time, seq) for time, seq in scheduled
+                     if seq not in cancelled and time <= HORIZON)
+        assert sorted(log) == due
+        assert now == HORIZON
+        assert pending == 0
 
     @settings(max_examples=60, deadline=None)
     @given(spec=SCHEDULE_SPECS,
            cancel_picks=st.lists(st.integers(0, 10 ** 6), max_size=8))
     def test_schedule_many_matches_serial_scheduling(self, spec,
                                                      cancel_picks):
-        batched = _drive(SimClock, spec, cancel_picks, batch=True)
-        serial = _drive(SimClock, spec, cancel_picks, batch=False)
+        batched = _drive(spec, cancel_picks, batch=True)
+        serial = _drive(spec, cancel_picks, batch=False)
         assert batched == serial
 
 

@@ -133,16 +133,17 @@ evaluation takes the deployment as an explicit argument.  One cache may be
 shared by many engines (keys include the objective), which is how a
 portfolio's members reuse each other's work.
 
-**Incremental evaluation.** Every `Objective` follows one contract:
-`move_delta(model, deployment, component, new_host)` returns
-`evaluate(moved) - evaluate(base)` to 1e-9, and `supports_delta` declares
-whether that delta is served incrementally in O(degree) of the moved
-component.  All six built-in objectives implement the fast path —
-throughput (bottleneck max) and durability (lifetime min) localize a move
-with per-host-pair demand / per-host draw accumulators keyed on
-`model.version`.  `WeightedObjective` supports the fast path iff all of
-its terms do.  (`repro.lint` rule MV015 flags objectives that declare the
-fast path without implementing it.)
+**Incremental evaluation.** Every `Objective` follows one contract: a
+move's delta equals `evaluate(moved) - evaluate(base)` to 1e-9, and
+`supports_delta` declares whether that delta is served incrementally in
+O(degree) of the moved component — by a `move_delta` override or by a
+registered compiled kernel.  All six built-in objectives take the kernel
+route (`EvaluationEngine.move_delta`); their `evaluate` methods stay as
+the readable reference.  Throughput (bottleneck max) and durability
+(lifetime min) kernels localize a move with per-host-pair demand /
+per-host draw accumulators.  `WeightedObjective` supports the fast path
+iff all of its terms do.  (`repro.lint` rule MV015 flags objectives that
+declare the fast path without either.)
 
 **Budgets and graceful truncation.** Engines accept `max_evaluations`
 and/or `max_seconds`.  When a budget runs out mid-search the engine raises
@@ -163,9 +164,8 @@ raises `AlgorithmError`, crashes, or times out degrades to a `skipped` /
 the same machinery in DeSi.
 
 **Registries.** `Analyzer` and `AlgorithmContainer` share
-`repro.core.registry.AlgorithmRegistry` (exposed as `.registry`); the
-historical `register_algorithm`/`register`/`unregister` methods remain as
-deprecation shims.  Registry misuse raises the dedicated
+`repro.core.registry.AlgorithmRegistry` (exposed as `.registry`), the
+one way to add or remove algorithms.  Registry misuse raises the dedicated
 `RegistryError` family from `repro.core.errors` rather than
 `AnalyzerError`.
 """,
@@ -184,9 +184,8 @@ with an O(1) incrementally-maintained Zobrist hash.
 exact type (`register_kernel` extends the table); every built-in
 objective has one, all with incremental `move_delta`, and
 `WeightedObjective` composes its terms' kernels.  The
-`EvaluationEngine` routes through kernels automatically
-(`use_kernels=True`), falling back to the object path for custom
-objectives or un-encodable deployments.  `docs/PERFORMANCE.md` covers
+`EvaluationEngine` always routes through kernels, falling back to the
+object path for custom objectives or un-encodable deployments.  `docs/PERFORMANCE.md` covers
 the lifecycle and the measured speedups (`BENCH_compiled.json`);
 lint rule MV016 advises when model size demands the compiled path.
 """,
