@@ -141,7 +141,7 @@ def test_e1_portfolio_evaluation_savings(availability, memory_constraints,
     isolated_full = sum(r.extra["engine"]["full_evaluations"]
                         for r in isolated.values())
 
-    runner = PortfolioRunner(parallel=False)
+    runner = PortfolioRunner()
     report = runner.run(model.copy(), factories)
     counters = report.counters()
 
@@ -164,8 +164,7 @@ def test_e1_portfolio_evaluation_savings(availability, memory_constraints,
         assert report.outcome(name).result.value == \
             pytest.approx(result.value)
 
-    benchmark(lambda: PortfolioRunner(parallel=False).run(
-        model.copy(), factories))
+    benchmark(lambda: PortfolioRunner().run(model.copy(), factories))
 
 
 def test_e1_exact_infeasible_at_scale(availability, memory_constraints,

@@ -55,7 +55,7 @@ def run_portfolio():
         "hillclimb": lambda: HillClimbingAlgorithm(
             objective, constraints, seed=1),
     }
-    report = PortfolioRunner(parallel=False).run(model.copy(), factories)
+    report = PortfolioRunner().run(model.copy(), factories)
     assert set(report.succeeded) == set(factories)
 
 

@@ -71,7 +71,7 @@ def build_case(hosts, components, seed):
 
 def hillclimb(model, constraints, objective, initial):
     engine = EvaluationEngine(objective, constraints)
-    state = SearchState(model, constraints, engine, objective, initial)
+    state = SearchState(model, constraints, engine, initial)
     for __ in range(MAX_ROUNDS):
         step = state.best_move()
         if step is None:
@@ -82,7 +82,7 @@ def hillclimb(model, constraints, objective, initial):
 
 def swapsearch(model, constraints, objective, initial):
     engine = EvaluationEngine(objective, constraints)
-    state = SearchState(model, constraints, engine, objective, initial)
+    state = SearchState(model, constraints, engine, initial)
     indices = [state.component_index(c) for c in model.component_ids]
     array = state.array
 

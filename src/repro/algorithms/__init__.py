@@ -11,8 +11,9 @@ Framework-extension main bodies: :class:`HillClimbingAlgorithm`,
 :class:`SimulatedAnnealingAlgorithm`, :class:`GeneticAlgorithm`.
 
 Evaluation plumbing: :class:`EvaluationEngine` (memoized + incremental
-objective evaluation with budgets) and :class:`PortfolioRunner` (concurrent
-execution of an algorithm portfolio) in :mod:`repro.algorithms.engine`;
+objective evaluation with budgets) and :class:`PortfolioRunner` (execution
+of an algorithm portfolio over one shared memo) in
+:mod:`repro.algorithms.engine`;
 :class:`CompiledModel`/:class:`CompiledDeployment` and the per-objective
 evaluation kernels in :mod:`repro.algorithms.compiled`.
 """

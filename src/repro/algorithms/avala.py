@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.base import DeploymentAlgorithm, greedy_fill_deployment
 from repro.core.model import DeploymentModel
 
 
@@ -182,16 +182,16 @@ class AvalaAlgorithm(DeploymentAlgorithm):
             # no single host able to take it).  Repair: rebuild with the
             # same host ranking but components placed largest-first, which
             # packs tight instances the interaction-greedy order cannot.
-            from repro.algorithms.base import greedy_fill_deployment
+            cm = checker.cm
             by_memory = sorted(
                 model.component_ids,
                 key=lambda c: (-model.component(c).memory, c))
             repaired = greedy_fill_deployment(
-                model, self.constraints, host_order, by_memory,
-                checker=checker)
+                checker, [cm.host_index[h] for h in host_order],
+                [cm.component_index[c] for c in by_memory])
             extra["repair_pass"] = True
             if repaired is None:
                 extra["unplaced"] = sorted(unassigned)
                 return None, extra
-            return repaired, extra
+            return cm.decode(repaired), extra
         return assignment, extra

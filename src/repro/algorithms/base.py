@@ -23,8 +23,11 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
+from repro.algorithms.compiled import UNDEPLOYED
 from repro.core.constraints import ConstraintSet
 from repro.core.errors import (
     AlgorithmError, EvaluationBudgetExceeded, NoValidDeploymentError,
@@ -212,8 +215,7 @@ class DeploymentAlgorithm(ABC):
         evaluation counter."""
         from repro.algorithms.search import SearchState
         return SearchState(model, self.constraints, self._engine,
-                           self.objective, assignment,
-                           count=self._count_evaluation)
+                           assignment, count=self._count_evaluation)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(objective={self.objective.name}, "
@@ -272,42 +274,36 @@ def random_valid_deployment(model: DeploymentModel,
     return None
 
 
-def greedy_fill_deployment(model: DeploymentModel,
-                           constraints: ConstraintSet,
-                           hosts: Sequence[str],
-                           components: Sequence[str],
-                           checker: Optional[Any] = None,
-                           ) -> Optional[Dict[str, str]]:
+def greedy_fill_deployment(checker: Any, hosts: Sequence[int],
+                           components: Sequence[int],
+                           ) -> Optional[List[int]]:
     """Assign *components* to *hosts* in the given orders, host by host.
 
     "Going in order, it assigns as many components to a given host as can
     fit on that host ... Once the host is full, the algorithm proceeds with
     the same process for the next host" (Section 5.1, Stochastic).
 
-    As with :func:`random_valid_deployment`, a supplied *checker* answers
-    the legality probes in the identical order.
+    Works on the compiled index space of *checker* (from
+    :func:`repro.algorithms.search.make_checker`): *hosts* and *components*
+    are host and component indices, and the result is the host index of
+    every component (``checker.cm.decode`` turns it into a mapping), or
+    None when some component fits nowhere.  The checker is reset first and
+    left holding the fill.
     """
-    assignment: Dict[str, str] = {}
-    if checker is not None:
-        checker.reset({})
+    checker.reset({})
+    allows = checker.allows_index
+    place = checker.place_index
+    assignment = [UNDEPLOYED] * checker.cm.n_components
     remaining = list(components)
-    for host in hosts:
+    for hi in hosts:
         still_remaining = []
-        for component in remaining:
-            if checker is not None:
-                allowed = checker.allows(component, host)
+        for ci in remaining:
+            if allows(ci, hi):
+                assignment[ci] = hi
+                place(ci, hi)
             else:
-                allowed = constraints.allows(model, assignment, component,
-                                             host)
-            if allowed:
-                assignment[component] = host
-                if checker is not None:
-                    checker.place(component, host)
-            else:
-                still_remaining.append(component)
+                still_remaining.append(ci)
         remaining = still_remaining
         if not remaining:
             break
-    if remaining:
-        return None
-    return assignment
+    return None if remaining else assignment

@@ -1,4 +1,4 @@
-"""Memoized incremental evaluation and parallel algorithm portfolios.
+"""Memoized incremental evaluation and algorithm portfolios.
 
 Two hot-path observations drive this module:
 
@@ -13,10 +13,13 @@ Two hot-path observations drive this module:
 
 * One slow or crashing algorithm must not stall the monitor→analyze→effect
   loop.  :class:`PortfolioRunner` executes a portfolio of algorithms
-  concurrently with per-algorithm timeouts; failed or timed-out algorithms
-  degrade to a skipped :class:`PortfolioOutcome` instead of aborting the
-  cycle, and per-run budgets make overrunning algorithms truncate
-  gracefully inside their own thread.
+  against one shared memo; failed or timed-out algorithms degrade to a
+  skipped :class:`PortfolioOutcome` instead of aborting the cycle.  Without
+  a deadline the members run one after another on the calling thread
+  (under the GIL a thread pool only adds contention); with one they run in
+  a thread pool, so the cycle can give up on a stuck member, and per-run
+  budgets make overrunning algorithms truncate gracefully inside their own
+  thread.
 
 Evaluation counters (cache hits/misses, full vs delta evaluations, wall
 time against budget) are recorded into ``AlgorithmResult.extra["engine"]``
@@ -243,12 +246,16 @@ class EvaluationEngine:
         (which may hold per-base accumulator state) stays private to this
         engine.  Returns None when the objective has no registered kernel
         — callers then use the object path.
+
+        A snapshot that is not ``stale`` is still the model's current one
+        (``compiled_model`` replaces only stale snapshots), so the cached
+        kernel is returned without taking the snapshot cache's lock.
         """
-        snapshot = compiled_model(model)
         cached = self._kernel_state
-        if cached is not None and cached[0]() is model \
-                and cached[1] is snapshot:
+        if cached is not None and not cached[1].stale \
+                and cached[0]() is model:
             return cached[2]
+        snapshot = compiled_model(model)
         kernel = compile_kernel(self.objective, snapshot)
         self._kernel_state = (weakref.ref(model), snapshot, kernel)
         return kernel
@@ -495,7 +502,7 @@ class PortfolioReport(ReportBase):
 
 
 class PortfolioRunner:
-    """Run a portfolio of algorithms against one model, concurrently.
+    """Run a portfolio of algorithms against one model.
 
     Every algorithm gets a fresh instance (from its factory) and a private
     :class:`EvaluationEngine`; all engines share one
@@ -503,17 +510,21 @@ class PortfolioRunner:
     member is free for every other member — and for later runs of the same
     runner, until the model changes.
 
-    A timed-out algorithm cannot be killed mid-thread, so the runner also
-    arms each engine's ``max_seconds`` with the per-algorithm timeout: the
-    overrunning algorithm truncates itself at its next evaluation while the
-    portfolio has already moved on.
+    How the members run follows from ``algorithm_timeout``.  Without one,
+    they run one after another on the calling thread, in submission order:
+    members are pure Python, so under the GIL a thread pool cannot overlap
+    their work and only adds switching cost, and the serial order makes
+    every engine counter deterministic.  With a deadline they run in a
+    thread pool, because only a separate thread lets the cycle give up on
+    a stuck member.  A timed-out algorithm cannot be killed mid-thread, so
+    the runner also arms each engine's ``max_seconds`` with the timeout:
+    the overrunning algorithm truncates itself at its next evaluation
+    while the portfolio has already moved on.
 
     Args:
         algorithm_timeout: Per-algorithm wall-clock deadline in seconds
-            (None = unlimited).
+            (None = unlimited, and no threads).
         max_evaluations / max_seconds: Per-algorithm engine budgets.
-        max_workers: Thread-pool width; defaults to the portfolio size.
-        parallel: Run sequentially (sharing the cache) when False.
         cache: Shared memo; a private persistent one is created when
             omitted.
     """
@@ -521,14 +532,10 @@ class PortfolioRunner:
     def __init__(self, *, algorithm_timeout: Optional[float] = None,
                  max_evaluations: Optional[int] = None,
                  max_seconds: Optional[float] = None,
-                 max_workers: Optional[int] = None,
-                 parallel: bool = True,
                  cache: Optional[DeploymentCache] = None):
         self.algorithm_timeout = algorithm_timeout
         self.max_evaluations = max_evaluations
         self.max_seconds = max_seconds
-        self.max_workers = max_workers
-        self.parallel = parallel
         self.cache = cache if cache is not None else DeploymentCache()
 
     # ------------------------------------------------------------------
@@ -569,24 +576,20 @@ class PortfolioRunner:
         report = PortfolioReport()
         if not ordered:
             return report
-        if not self.parallel or len(ordered) == 1:
+        if self.algorithm_timeout is None:
             for name, factory in ordered:
                 report.outcomes.append(
                     self._run_one(name, factory, model, initial))
             report.elapsed = time.perf_counter() - started
             return report
 
-        workers = self.max_workers or len(ordered)
-        pool = ThreadPoolExecutor(max_workers=workers,
+        pool = ThreadPoolExecutor(max_workers=len(ordered),
                                   thread_name_prefix="portfolio")
         try:
             futures = [(name, pool.submit(self._run_one, name, factory,
                                           model, initial))
                        for name, factory in ordered]
             for name, future in futures:
-                if self.algorithm_timeout is None:
-                    report.outcomes.append(future.result())
-                    continue
                 # Deadline measured from portfolio start (plus scheduling
                 # grace): members run concurrently, so the whole cycle's
                 # wall clock stays bounded by one timeout, not their sum.
@@ -613,11 +616,9 @@ def run_portfolio(model: DeploymentModel,
                   factories: Mapping[str, AlgorithmFactory], *,
                   algorithm_timeout: Optional[float] = None,
                   max_evaluations: Optional[int] = None,
-                  parallel: bool = True,
                   initial: Optional[Mapping[str, str]] = None,
                   ) -> PortfolioReport:
     """One-shot convenience wrapper around :class:`PortfolioRunner`."""
     runner = PortfolioRunner(algorithm_timeout=algorithm_timeout,
-                             max_evaluations=max_evaluations,
-                             parallel=parallel)
+                             max_evaluations=max_evaluations)
     return runner.run(model, factories, initial=initial)

@@ -48,7 +48,6 @@ from repro.core.constraints_compiled import (
     CompiledConstraintSet, compile_constraints,
 )
 from repro.core.model import DeploymentModel
-from repro.core.objectives import Objective
 
 #: Minimum gain for a move to count as strictly improving (matches the
 #: historical scan-loop tolerance).
@@ -202,13 +201,11 @@ class SearchState:
     """
 
     def __init__(self, model: DeploymentModel, constraints: ConstraintSet,
-                 engine: EvaluationEngine, objective: Objective,
-                 assignment: Mapping[str, str], *,
+                 engine: EvaluationEngine, assignment: Mapping[str, str], *,
                  count: Optional[Callable[[int], None]] = None):
         self.model = model
         self.constraints = constraints
         self.engine = engine
-        self.objective = objective
         self.cm = compiled_model(model)
         self._count = count
         self.stats = engine.stats
@@ -237,6 +234,7 @@ class SearchState:
             info.colloc_partners if info is not None
             else [()] * self.cm.n_components)
         self._has_bandwidth = info.has_bandwidth if info is not None else True
+        objective = engine.objective
         self._maximize = objective.direction == "max"
         self.local_delta = bool(getattr(objective, "local_delta", False))
         #: Applied placements, in order: (component_id, host_id).

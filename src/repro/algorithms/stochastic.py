@@ -41,22 +41,26 @@ class StochasticAlgorithm(DeploymentAlgorithm):
         best_value = self.objective.worst_value()
         feasible_iterations = 0
         checker = self._checker(model)
+        cm = checker.cm
         for __ in range(self.iterations):
-            hosts = list(model.host_ids)
-            components = list(model.component_ids)
+            # Shuffling the index lists draws the same permutations as
+            # shuffling the id lists: ``random.shuffle`` depends only on
+            # the length.
+            hosts = list(range(cm.n_hosts))
+            components = list(range(cm.n_components))
             self.rng.shuffle(hosts)
             self.rng.shuffle(components)
-            assignment = greedy_fill_deployment(
-                model, self.constraints, hosts, components, checker=checker)
+            assignment = greedy_fill_deployment(checker, hosts, components)
             if assignment is None:
                 continue  # this ordering could not place every component
             if not checker.satisfied():
                 continue
             feasible_iterations += 1
-            value = self._evaluate(model, assignment)
+            deployment = cm.decode(assignment)
+            value = self._evaluate(model, deployment)
             if best is None or self.objective.is_better(value, best_value):
                 best_value = value
-                best = assignment
+                best = deployment
         extra = {
             "iterations": self.iterations,
             "feasible_iterations": feasible_iterations,

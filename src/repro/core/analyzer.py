@@ -138,14 +138,14 @@ class Analyzer:
         guard_tolerance: Allowed multiplicative worsening of the guard
             objective (1.10 = up to 10% worse latency is acceptable).
         seed: Seed handed to the stock algorithms.
-        parallel: Run the selected algorithms concurrently (Section 4.3's
-            "invokes the selected redeployment algorithms" as a portfolio)
-            instead of one after another.
         algorithm_timeout: Per-algorithm wall-clock deadline per cycle in
             seconds; a timed-out algorithm degrades to a skipped outcome.
+            With a deadline the selected algorithms run concurrently in a
+            thread pool so a stuck one can be abandoned; without one
+            (the default) they run one after another on the calling
+            thread, which costs less CPU under the GIL.
         evaluation_budget: Per-algorithm cap on charged objective
             evaluations per cycle (graceful truncation).
-        max_workers: Thread-pool width for the portfolio.
         planner: Optional :class:`repro.plan.MigrationPlanner`; when set,
             redeploy decisions carry a wave schedule whose predicted
             makespan and disruption volume feed the guard values.
@@ -166,10 +166,8 @@ class Analyzer:
                  min_improvement: float = 0.01,
                  guard_tolerance: float = 1.10,
                  seed: Optional[int] = None,
-                 parallel: bool = True,
                  algorithm_timeout: Optional[float] = None,
                  evaluation_budget: Optional[int] = None,
-                 max_workers: Optional[int] = None,
                  planner: Optional["MigrationPlanner"] = None,
                  max_makespan: Optional[float] = None,
                  obs: Optional[Observability] = None):
@@ -205,9 +203,8 @@ class Analyzer:
                              cache=self._cache)
             if latency_guard is not None else None)
         self._portfolio = PortfolioRunner(
-            parallel=parallel, algorithm_timeout=algorithm_timeout,
-            max_evaluations=evaluation_budget, max_workers=max_workers,
-            cache=self._cache)
+            algorithm_timeout=algorithm_timeout,
+            max_evaluations=evaluation_budget, cache=self._cache)
         self._install_default_algorithms()
 
     # ------------------------------------------------------------------
@@ -276,11 +273,12 @@ class Analyzer:
     def analyze(self, model: DeploymentModel, now: float = 0.0) -> Decision:
         """Run one analysis cycle against *model* and decide what to do.
 
-        The selected algorithms execute as a portfolio: concurrently when
-        the analyzer was built with ``parallel=True``, each under the
-        configured timeout/evaluation budget.  An algorithm that fails,
-        crashes, or times out degrades to a skipped outcome (recorded in
-        ``decision.portfolio``) — it never aborts the cycle.
+        The selected algorithms execute as a portfolio, each under the
+        configured timeout/evaluation budget: serially on this thread, or
+        concurrently when the analyzer has an ``algorithm_timeout``.  An
+        algorithm that fails, crashes, or times out degrades to a skipped
+        outcome (recorded in ``decision.portfolio``) — it never aborts the
+        cycle.
         """
         obs = self.obs
         with obs.span("analyzer.cycle") as cycle_span:

@@ -317,14 +317,20 @@ class CompiledConstraintSet:
     def _shift_load(self, token: UndoToken, load: List[float], need: float,
                     cap: List[float], over_key: str, cur: int, new: int,
                     ) -> None:
+        # The hottest writer of ``place``: it appends its undo entries
+        # itself instead of going through ``_set``/``_bump``.
+        tally = self.tally
         for host, delta in ((cur, -need), (new, need)):
             if host == UNDEPLOYED:
                 continue
-            before = load[host] > cap[host]
-            self._set(token, load, host, load[host] + delta)
-            after = load[host] > cap[host]
-            if before != after:
-                self._bump(token, self.tally, over_key, 1 if after else -1)
+            old = load[host]
+            token.append((load, host, old))
+            load[host] = shifted = old + delta
+            before = old > cap[host]
+            if before != (shifted > cap[host]):
+                count = tally[over_key]
+                token.append((tally, over_key, count))
+                tally[over_key] = count - 1 if before else count + 1
 
     def _shift_together(self, token: UndoToken, state: dict, cur: int,
                         new: int) -> None:

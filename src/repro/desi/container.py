@@ -32,7 +32,14 @@ from repro.core.registry import AlgorithmRegistry
 from repro.desi.systemdata import DeSiModel
 
 class AlgorithmContainer:
-    """Registry + runner for deployment estimation algorithms."""
+    """Registry + runner for deployment estimation algorithms.
+
+    :meth:`invoke` runs one algorithm; :meth:`invoke_all` and
+    :meth:`invoke_portfolio` run every registered one through a
+    :class:`~repro.algorithms.engine.PortfolioRunner`: one after another on
+    the calling thread, or in a thread pool when an ``algorithm_timeout``
+    is given.  Every invocation shares the container's evaluation cache.
+    """
 
     def __init__(self, desi: DeSiModel):
         self.desi = desi
@@ -67,30 +74,31 @@ class AlgorithmContainer:
         self._record(result)
         return result
 
-    def invoke_all(self, parallel: bool = False,
-                   algorithm_timeout: Optional[float] = None,
+    def invoke_all(self, algorithm_timeout: Optional[float] = None,
                    ) -> List[AlgorithmResult]:
         """Run every registered algorithm (DeSi's Algorithms panel buttons,
         pressed in order) and record each outcome.
 
-        With ``parallel=True`` the algorithms run as a concurrent portfolio
-        sharing this container's evaluation cache; failed or timed-out
-        algorithms are skipped rather than aborting the sweep (their fate is
-        available via :meth:`invoke_portfolio`).
+        The algorithms run as a portfolio sharing this container's
+        evaluation cache; failed or timed-out algorithms are skipped rather
+        than aborting the sweep (their fate is available via
+        :meth:`invoke_portfolio`).
         """
         return [outcome.result
                 for outcome in self.invoke_portfolio(
-                    parallel=parallel,
                     algorithm_timeout=algorithm_timeout).outcomes
                 if outcome.result is not None]
 
-    def invoke_portfolio(self, parallel: bool = True,
-                         algorithm_timeout: Optional[float] = None,
+    def invoke_portfolio(self, algorithm_timeout: Optional[float] = None,
                          ) -> PortfolioReport:
         """Run every registered algorithm as a portfolio, returning the full
-        per-algorithm outcome report (ok / skipped / error / timeout)."""
-        runner = PortfolioRunner(parallel=parallel,
-                                 algorithm_timeout=algorithm_timeout,
+        per-algorithm outcome report (ok / skipped / error / timeout).
+
+        Without *algorithm_timeout* the algorithms run in registration
+        order on the calling thread; with one they run concurrently, so a
+        stuck algorithm can be reported as timed out.
+        """
+        runner = PortfolioRunner(algorithm_timeout=algorithm_timeout,
                                  cache=self._cache)
         report = runner.run(self.desi.deployment_model,
                             dict(self.registry.items()))

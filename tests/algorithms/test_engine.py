@@ -250,7 +250,7 @@ class TestPortfolioRunner:
             "avala": lambda: AvalaAlgorithm(availability, memory_constraints,
                                             seed=3),
         }
-        runner = PortfolioRunner(parallel=False)  # deterministic ordering
+        runner = PortfolioRunner()
         report = runner.run(small_model, factories)
         assert [o.status for o in report.outcomes] == [OK, OK, OK]
         counters = report.counters()
@@ -267,6 +267,23 @@ class TestPortfolioRunner:
     def test_empty_portfolio(self, small_model):
         report = PortfolioRunner().run(small_model, {})
         assert report.outcomes == []
+
+    def test_no_deadline_starts_no_thread(self, small_model, medium_model,
+                                          availability, memory_constraints,
+                                          monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a portfolio without a deadline "
+                                 "started a thread pool")
+
+        monkeypatch.setattr("repro.algorithms.engine.ThreadPoolExecutor",
+                            no_pool)
+        report = run_portfolio(
+            small_model, self._factories(availability, memory_constraints))
+        assert [o.status for o in report.outcomes] == [OK, OK]
+        decision = Analyzer(AvailabilityObjective(), seed=5).analyze(
+            medium_model)
+        assert decision.portfolio.succeeded == (
+            "avala", "stochastic", "hillclimb")
 
 
 class TestAnalyzerResilience:
@@ -295,14 +312,48 @@ class TestAnalyzerResilience:
         assert decision.portfolio.outcome("sleepy").status == TIMEOUT
 
     def test_decision_matches_sequential_analysis(self, medium_model):
-        parallel = Analyzer(AvailabilityObjective(), seed=5, parallel=True)
-        sequential = Analyzer(AvailabilityObjective(), seed=5, parallel=False)
-        a = parallel.analyze(medium_model.copy())
-        b = sequential.analyze(medium_model.copy())
+        # A deadline runs the portfolio in a thread pool; the default runs
+        # it serially.  Only which member pays for a shared deployment
+        # first may differ, i.e. the memo counters.
+        racy = {"full_evaluations", "cache_hits", "cache_misses",
+                "kernel_evaluations"}
+        threaded = Analyzer(AvailabilityObjective(), seed=5,
+                            algorithm_timeout=60)
+        serial = Analyzer(AvailabilityObjective(), seed=5)
+        a = threaded.analyze(medium_model.copy())
+        b = serial.analyze(medium_model.copy())
         assert a.action == b.action
-        if a.selected is not None:
-            assert a.selected.value == pytest.approx(b.selected.value)
-            assert a.selected.deployment == b.selected.deployment
+        assert a.selected is not None and b.selected is not None
+        assert a.selected.algorithm == b.selected.algorithm
+        assert a.selected.deployment == b.selected.deployment
+        assert a.selected.value == b.selected.value
+
+        def gated(decision):
+            return {key: value
+                    for key, value in decision.portfolio.counters().items()
+                    if key not in racy}
+
+        assert gated(a) == gated(b)
+
+    def test_serial_cycles_have_deterministic_counters(self, medium_model):
+        def cycles():
+            model = medium_model.copy()
+            analyzer = Analyzer(AvailabilityObjective(), seed=5)
+            counters = []
+            for step in range(4):
+                if step == 2:
+                    # A parameter change invalidates the memo mid-sequence.
+                    host = model.host_ids[0]
+                    model.set_host_param(host, "memory",
+                                         model.host(host).memory * 1.5)
+                decision = analyzer.analyze(model, now=float(step))
+                counters.append(decision.portfolio.counters())
+            return counters
+
+        first, second = cycles(), cycles()
+        assert first == second
+        assert all(c["full_evaluations"] + c["cache_hits"] > 0
+                   for c in first)
 
 
 class TestKernelRouting:

@@ -45,6 +45,7 @@ def _rich_constraints(model):
 
 def _brute_force_best(state):
     """Reference implementation of the canonical selection rule."""
+    maximize = state.engine.objective.direction == "max"
     best = None
     for ci in range(state.cm.n_components):
         for hi in range(state.cm.n_hosts):
@@ -53,7 +54,7 @@ def _brute_force_best(state):
             if not state.checker.allows_index(ci, hi):
                 continue
             delta = state.delta(ci, hi)
-            gain = delta if state.objective.direction == "max" else -delta
+            gain = delta if maximize else -delta
             if gain > 1e-12 and (best is None or gain > best[0]):
                 best = (gain, ci, hi)
     return None if best is None else (best[1], best[2])
@@ -73,12 +74,11 @@ def test_best_move_matches_brute_force_along_trajectory(objective_cls,
         constraints = object_path(constraints)
     objective = objective_cls()
     engine = EvaluationEngine(objective, constraints)
-    state = SearchState(model, constraints, engine, objective,
-                        model.deployment)
+    state = SearchState(model, constraints, engine, model.deployment)
     assert state.checker.compiled is compiled
     reference = SearchState(model, constraints,
                             EvaluationEngine(objective, constraints),
-                            objective, model.deployment)
+                            model.deployment)
     for step in range(12):
         move = state.best_move()
         expected = _brute_force_best(reference)
@@ -97,7 +97,7 @@ def test_compiled_and_object_frontiers_take_identical_paths():
     objective = AvailabilityObjective()
     states = [
         SearchState(model, checked, EvaluationEngine(objective, checked),
-                    objective, model.deployment)
+                    model.deployment)
         for checked in (constraints, object_path(constraints))
     ]
     assert [s.checker.compiled for s in states] == [True, False]
@@ -117,8 +117,7 @@ def test_frontier_reuses_cached_deltas():
     constraints = ConstraintSet([MemoryConstraint()])
     objective = AvailabilityObjective()
     engine = EvaluationEngine(objective, constraints)
-    state = SearchState(model, constraints, engine, objective,
-                        model.deployment)
+    state = SearchState(model, constraints, engine, model.deployment)
     first = state.best_move()
     assert first is not None
     scored_initially = engine.stats.moves_rescored
@@ -138,7 +137,7 @@ def test_apply_keeps_checker_mapping_and_array_in_sync():
     constraints = _rich_constraints(model)
     objective = AvailabilityObjective()
     state = SearchState(model, constraints,
-                        EvaluationEngine(objective, constraints), objective,
+                        EvaluationEngine(objective, constraints),
                         model.deployment)
     for __ in range(6):
         move = state.best_move()
@@ -173,7 +172,7 @@ def test_swap_allowed_permits_exact_fit_exchange():
     for constraints in (compiled, object_path(compiled)):
         state = SearchState(model, constraints,
                             EvaluationEngine(objective, constraints),
-                            objective, model.deployment)
+                            model.deployment)
         ya, vb = state.component_index("y"), state.component_index("v")
         assert state.best_move() is None  # both hosts full: no single move
         assert state.swap_allowed(ya, vb)
@@ -212,11 +211,10 @@ def test_uncompilable_constraints_still_search_correctly():
     constraints = ConstraintSet([Odd()])
     objective = AvailabilityObjective()
     engine = EvaluationEngine(objective, constraints)
-    state = SearchState(model, constraints, engine, objective,
-                        model.deployment)
+    state = SearchState(model, constraints, engine, model.deployment)
     reference = SearchState(model, constraints,
                             EvaluationEngine(objective, constraints),
-                            objective, model.deployment)
+                            model.deployment)
     assert not state.checker.compiled
     for __ in range(8):
         move = state.best_move()

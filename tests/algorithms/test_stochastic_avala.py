@@ -10,6 +10,7 @@ from repro.core import (
 )
 from repro.core.constraints import CollocationConstraint, LocationConstraint
 from repro.desi import Generator, GeneratorConfig
+from tests.constraint_paths import object_path
 
 
 class TestStochastic:
@@ -59,6 +60,27 @@ class TestStochastic:
         result = algorithm.run(small_model)
         assert result.evaluations == result.extra["feasible_iterations"]
         assert result.evaluations <= 25
+
+    def test_object_checker_matches_compiled_path(self, medium_model,
+                                                  availability):
+        components, hosts = medium_model.component_ids, medium_model.host_ids
+        constraints = ConstraintSet([
+            MemoryConstraint(),
+            LocationConstraint(components[0], forbidden=[hosts[0]]),
+            CollocationConstraint([components[1], components[2]],
+                                  together=True),
+        ])
+        compiled = StochasticAlgorithm(availability, constraints, seed=6,
+                                       iterations=40).run(medium_model)
+        reference = StochasticAlgorithm(availability, object_path(constraints),
+                                        seed=6, iterations=40,
+                                        ).run(medium_model)
+        assert compiled.deployment.as_dict() == reference.deployment.as_dict()
+        assert compiled.value == reference.value
+        assert compiled.extra["feasible_iterations"] \
+            == reference.extra["feasible_iterations"] > 0
+        assert compiled.extra["engine"]["constraint_checks"] \
+            == reference.extra["engine"]["constraint_checks"]
 
 
 class TestAvala:

@@ -82,8 +82,7 @@ class TestSwapSearch:
                 h for h in small_model.host_ids
                 if h != assignment[comp_a])
         state = SearchState(small_model, ConstraintSet(),
-                            EvaluationEngine(availability), availability,
-                            assignment)
+                            EvaluationEngine(availability), assignment)
         before = availability.evaluate(small_model, assignment)
         delta = state.swap_delta(state.component_index(comp_a),
                                  state.component_index(comp_b))

@@ -154,9 +154,10 @@ hits/misses, delta evaluations and fallbacks, elapsed vs budget) land in
 `AlgorithmResult.extra["engine"]`.
 
 **Portfolios.** `PortfolioRunner.run(model, factories)` executes a suite of
-algorithms concurrently (`parallel=False` for sequential), each under an
-optional per-algorithm timeout, all sharing one cache.  A member that
-raises `AlgorithmError`, crashes, or times out degrades to a `skipped` /
+algorithms, all sharing one cache: one after another on the calling thread
+by default, or concurrently in a thread pool when a per-algorithm
+`algorithm_timeout` is set, so a stuck member can be abandoned.  A member
+that raises `AlgorithmError`, crashes, or times out degrades to a `skipped` /
 `error` / `timeout` `PortfolioOutcome` instead of aborting the run; the
 `PortfolioReport` records every member's fate plus aggregate counters.
 `Analyzer.analyze` runs its selected algorithms this way (see
