@@ -6,8 +6,10 @@ Two pillars behind one rule-engine core (:mod:`repro.lint.core`):
   :mod:`repro.lint.xadl_rules`) — checks ``DeploymentModel``s, xADL
   documents, constraint sets, and objective contracts before algorithms
   search them or the effector migrates live components;
-* the **code analyzer** (:mod:`repro.lint.code`) — AST rules enforcing
-  this repository's concurrency and registry conventions.
+* the **code analyzer** (:mod:`repro.lint.code`) — per-file AST rules
+  enforcing this repository's locking, error-handling and registry
+  conventions, plus the dataflow-backed determinism pack
+  (:mod:`repro.lint.determinism` over :mod:`repro.lint.flow`).
 
 Entry points: ``python -m repro lint`` on the command line,
 :func:`verify_deployment` as the effector/batch pre-flight gate, and the
@@ -21,10 +23,6 @@ from repro.lint.cache import (
 from repro.lint.code import (
     CODE_RULES, CodeLintContext, CodeRule, analyze_paths, analyze_source,
     code_rule_registry, iter_python_files,
-)
-from repro.lint.concurrency import (
-    CONCURRENCY_RULES, FileConcurrencySummary, analyze_lock_graph,
-    analyze_package, summarize_concurrency,
 )
 from repro.lint.core import (
     Finding, LintReport, Rule, RuleRegistry, Severity, render_json,
@@ -50,7 +48,6 @@ from repro.lint.xadl_rules import (
 
 __all__ = [
     "CODE_RULES",
-    "CONCURRENCY_RULES",
     "CodeLintContext",
     "CodeRule",
     "DETERMINISM_RULES",
@@ -58,7 +55,6 @@ __all__ = [
     "FAULT_RULES",
     "FaultPlanLintContext",
     "FaultPlanRule",
-    "FileConcurrencySummary",
     "Finding",
     "LintCache",
     "LintReport",
@@ -71,8 +67,6 @@ __all__ = [
     "ScheduleLintContext",
     "ScheduleRule",
     "Severity",
-    "analyze_lock_graph",
-    "analyze_package",
     "analyze_paths",
     "analyze_source",
     "apply_baseline",
@@ -88,7 +82,6 @@ __all__ = [
     "render_sarif",
     "render_text",
     "sarif_log",
-    "summarize_concurrency",
     "verify_deployment",
     "verify_fault_plan",
     "verify_model",

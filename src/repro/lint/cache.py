@@ -6,10 +6,8 @@ lint runs remembering earlier lint runs:
 * :class:`LintCache` — a content-hash result cache.  Each analyzed file
   is keyed by its path and the SHA-256 of its bytes, together with a
   fingerprint of the active rule set; a re-run over an unchanged tree
-  re-parses nothing and is near-instant.  Cached entries carry the
-  per-file findings *and* the distilled
-  :class:`~repro.lint.concurrency.FileConcurrencySummary`, so the
-  package-wide lock-graph pass also runs without re-parsing.
+  re-parses nothing and is near-instant.  Every code rule looks at one
+  file, so a cached entry is just that file's findings.
 * **Baselines** — a recorded set of accepted findings.  A baseline file
   maps each finding to a line-number-independent fingerprint
   (``rule|file|message``), so a team can adopt a new rule without first
@@ -28,7 +26,7 @@ from repro.core.errors import ReproError
 from repro.lint.core import Finding, LintReport, RuleRegistry
 
 #: Bump when the cache entry layout changes; old caches are discarded.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: Default cache location (relative to the working directory).
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
@@ -55,11 +53,9 @@ def rules_fingerprint(registry: RuleRegistry) -> str:
 class LintCache:
     """Content-addressed store of per-file lint results.
 
-    Entries hold everything :func:`repro.lint.code.analyze_paths` needs
-    to skip a file entirely: the (already suppression-filtered) findings,
-    the concurrency summary for the package pass, and the suppression
-    line map (package-pass findings attributed to the file must still
-    honor ``# lint: ignore``).
+    Each entry is ``{digest, findings}``: the file's content hash and
+    its (already suppression-filtered) findings, everything
+    :func:`repro.lint.code.analyze_paths` needs to skip the file.
     """
 
     def __init__(self, path: str, fingerprint: str):
@@ -116,16 +112,10 @@ class LintCache:
         return None
 
     def store(self, filename: str, digest: str,
-              findings: Iterable[Finding],
-              summary: Optional[Mapping[str, Any]] = None,
-              suppressions: Optional[Mapping[int, Set[str]]] = None) -> None:
+              findings: Iterable[Finding]) -> None:
         self._entries[filename] = {
             "digest": digest,
             "findings": [f.as_dict() for f in findings],
-            "summary": dict(summary) if summary is not None else None,
-            "suppressions": {
-                str(line): sorted(ids)
-                for line, ids in (suppressions or {}).items()},
         }
         self._dirty = True
 
@@ -137,11 +127,6 @@ class LintCache:
     @staticmethod
     def entry_findings(entry: Mapping[str, Any]) -> Tuple[Finding, ...]:
         return tuple(Finding.from_dict(d) for d in entry.get("findings", ()))
-
-    @staticmethod
-    def entry_suppressions(entry: Mapping[str, Any]) -> Dict[int, Set[str]]:
-        return {int(line): set(ids)
-                for line, ids in (entry.get("suppressions") or {}).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Generic linters cannot know that a :class:`~repro.middleware.scaffold.Scaffold`
 serializes handlers per brick, that algorithms are (un)registered through
 :class:`~repro.core.registry.AlgorithmRegistry` rather than the removed
-``Analyzer.register_algorithm`` shim, or that a blocking call inside an
-event handler stalls a whole dispatch queue.  These rules do.  Run them
-with ``python -m repro lint --code [paths]`` (CI runs them over
-``src/repro``).
+``Analyzer.register_algorithm`` shim, that a blocking call inside an
+event handler stalls a whole dispatch queue, or that locks here are
+only ever taken in ``with`` blocks.  These rules do.  Every rule looks
+at one file at a time.  Run them with ``python -m repro lint --code
+[paths]`` (CI runs them over ``src/``).
 
 Findings on a line carrying ``# lint: ignore`` (or
 ``# lint: ignore[CD001]`` for a specific rule) are suppressed, mirroring
@@ -21,7 +22,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type,
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type,
 )
 
 from repro.core.errors import ReproError
@@ -68,15 +69,10 @@ class CodeLintContext:
         return cls(path, source, tree, suppressions)
 
     def is_suppressed(self, finding: Finding) -> bool:
-        return _suppressed_by_map(finding, self.suppressions)
-
-
-def _suppressed_by_map(finding: Finding,
-                       suppressions: Mapping[int, Set[str]]) -> bool:
-    ids = suppressions.get(finding.line or -1)
-    if ids is None:
-        return False
-    return not ids or finding.rule in ids
+        ids = self.suppressions.get(finding.line or -1)
+        if ids is None:
+            return False
+        return not ids or finding.rule in ids
 
 
 def _spread_over_statements(suppressions: Dict[int, Set[str]],
@@ -266,10 +262,10 @@ class BlockingCallInHandlerRule(CodeRule):
                 return f"{ast.unparse(func)}()"
             # Unbounded thread/queue joins and waits: no positional args
             # (str.join(iterable) takes one; .wait(5.0) is bounded) and no
-            # timeout/blocking keyword that bounds the wait.
-            if func.attr in ("join", "wait", "acquire"):
-                bounded = any(kw.arg in ("timeout", "blocking")
-                              for kw in call.keywords)
+            # timeout keyword that bounds the wait.  Explicit acquires
+            # are CD007's, wherever they appear.
+            if func.attr in ("join", "wait"):
+                bounded = any(kw.arg == "timeout" for kw in call.keywords)
                 if not call.args and not bounded:
                     return f".{func.attr}()"
         return None
@@ -373,6 +369,25 @@ class MutableDefaultRule(CodeRule):
                         file=context.path, line=default.lineno)
 
 
+class ExplicitAcquireRule(CodeRule):
+    rule_id = "CD007"
+    severity = Severity.ERROR
+    description = ("Locks are taken in a `with` block: an explicit "
+                   "`.acquire()` leaks the lock on any return or "
+                   "exception that skips its `.release()`.")
+    tags = frozenset({"concurrency"})
+
+    def check(self, context: CodeLintContext) -> Iterable[Finding]:
+        for node in ast.walk(context.tree):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "acquire":
+                yield self.finding(
+                    f"explicit {ast.unparse(node.func)}(); take the lock "
+                    "in a `with` block",
+                    file=context.path, line=node.lineno)
+
+
 CODE_RULES: Tuple[Type[CodeRule], ...] = (
     UnlockedSharedMutationRule,
     BlockingCallInHandlerRule,
@@ -380,37 +395,18 @@ CODE_RULES: Tuple[Type[CodeRule], ...] = (
     BareExceptRule,
     SwallowedExceptionRule,
     MutableDefaultRule,
+    ExplicitAcquireRule,
 )
 
 
 def code_rule_registry() -> RuleRegistry:
     """A fresh registry holding the built-in code analyzer rules.
 
-    Includes the dataflow-backed packs: per-file concurrency rules
-    (CC002/CC003), determinism rules (DT00x), and the catalog entry for
-    the package-wide lock-order pass (CC001; see :func:`analyze_paths`).
+    These are the AST rules (CD00x) and the dataflow-backed determinism
+    pack (DT00x).
     """
-    from repro.lint.concurrency import CONCURRENCY_RULES, LockOrderRule
     from repro.lint.determinism import DETERMINISM_RULES
-    registry = RuleRegistry(cls() for cls in CODE_RULES)
-    for cls in CONCURRENCY_RULES + DETERMINISM_RULES:
-        registry.register(cls())
-    registry.register(LockOrderRule())
-    return registry
-
-
-#: Tag selecting rules that run over the whole package, not one file;
-#: :meth:`RuleRegistry.run` on a single file context must skip them.
-PACKAGE_TAG = "package"
-
-
-def _run_file_rules(context: CodeLintContext,
-                    registry: RuleRegistry) -> LintReport:
-    only = [rule.rule_id for rule in registry
-            if PACKAGE_TAG not in rule.tags]
-    raw = registry.run(context, only=only)
-    return LintReport([f for f in raw
-                       if not context.is_suppressed(f)]).sorted()
+    return RuleRegistry(cls() for cls in CODE_RULES + DETERMINISM_RULES)
 
 
 def analyze_source(source: str, path: str = "<string>",
@@ -425,7 +421,8 @@ def analyze_source(source: str, path: str = "<string>",
                            line=exc.lineno))
         return report
     active = registry if registry is not None else code_rule_registry()
-    return _run_file_rules(context, active)
+    return LintReport([f for f in active.run(context)
+                       if not context.is_suppressed(f)]).sorted()
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -446,49 +443,25 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return out
 
 
-def _analyze_file(filename: str,
+def _analyze_file(filename: str, data: bytes,
                   registry: Optional[RuleRegistry] = None
-                  ) -> Dict[str, Any]:
-    """Analyze one file into a JSON-able record.
+                  ) -> List[Dict[str, Any]]:
+    """Analyze one file's bytes into JSON-able finding records.
 
     This shape is what both the result cache stores and the worker
-    processes of ``--jobs N`` return: per-file findings (suppression
-    already applied), the concurrency summary for the package pass, and
-    the suppression map (package findings honor ``# lint: ignore`` too).
+    processes of ``--jobs N`` return, with suppression already applied.
     It must stay picklable and registry-free so it can cross process
     boundaries.
     """
-    from repro.lint.concurrency import summarize_concurrency
-    with open(filename, "rb") as handle:
-        data = handle.read()
-    source = data.decode("utf-8")
-    record: Dict[str, Any] = {
-        "path": filename,
-        "digest": file_digest(data),
-        "summary": None,
-        "suppressions": {},
-    }
-    try:
-        context = CodeLintContext.parse(source, filename)
-    except SyntaxError as exc:
-        record["findings"] = [Finding(
-            "CD000", Severity.ERROR, f"syntax error: {exc.msg}",
-            file=filename, line=exc.lineno).as_dict()]
-        return record
-    active = registry if registry is not None else code_rule_registry()
-    report = _run_file_rules(context, active)
-    record["findings"] = [f.as_dict() for f in report]
-    record["summary"] = summarize_concurrency(context.tree,
-                                              filename).as_dict()
-    record["suppressions"] = {str(line): sorted(ids)
-                              for line, ids in context.suppressions.items()}
-    return record
+    report = analyze_source(data.decode("utf-8"), filename, registry)
+    return [f.as_dict() for f in report]
 
 
-def _worker_analyze(filename: str) -> Dict[str, Any]:
+def _worker_analyze(job: Tuple[str, bytes]) -> List[Dict[str, Any]]:
     """Top-level entry point for ``--jobs`` worker processes (must be
     importable by name; always uses the default rule registry)."""
-    return _analyze_file(filename)
+    filename, data = job
+    return _analyze_file(filename, data)
 
 
 def analyze_paths(paths: Sequence[str],
@@ -497,59 +470,42 @@ def analyze_paths(paths: Sequence[str],
                   cache: Optional[LintCache] = None) -> LintReport:
     """Analyze every ``.py`` file under *paths* into one report.
 
-    Runs the per-file rules (cached by content hash when *cache* is
-    given, fanned out over *jobs* worker processes when > 1), then the
-    package-wide concurrency pass over the per-file summaries.  A custom
-    *registry* forces serial in-process analysis: rule instances are not
-    shipped to workers, and the cache the CLI loads is fingerprinted
-    against the default rule set.
+    Each file is read once.  Its findings come from *cache* when the
+    file's content hash is there, and otherwise from the rules, fanned
+    out over *jobs* worker processes when > 1.  A custom *registry*
+    forces serial in-process analysis with no cache: rule instances are
+    not shipped to workers, and the cache the CLI loads is
+    fingerprinted against the default rule set.
     """
-    from repro.lint.concurrency import FileConcurrencySummary, analyze_package
     filenames = iter_python_files(paths)
-    records: Dict[str, Dict[str, Any]] = {}
-    pending: List[str] = []
-
-    if cache is not None and registry is None:
-        for filename in filenames:
-            with open(filename, "rb") as handle:
-                digest = file_digest(handle.read())
+    use_cache = cache is not None and registry is None
+    found: Dict[str, Tuple[Finding, ...]] = {}
+    digests: Dict[str, str] = {}
+    pending: List[Tuple[str, bytes]] = []
+    for filename in filenames:
+        with open(filename, "rb") as handle:
+            data = handle.read()
+        if use_cache:
+            digest = digests[filename] = file_digest(data)
             entry = cache.lookup(filename, digest)
             if entry is not None:
-                records[filename] = dict(entry, path=filename)
-            else:
-                pending.append(filename)
-    else:
-        pending = list(filenames)
+                found[filename] = LintCache.entry_findings(entry)
+                continue
+        pending.append((filename, data))
 
     if jobs > 1 and registry is None and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(_worker_analyze, pending):
-                records[record["path"]] = record
+            results = list(pool.map(_worker_analyze, pending))
     else:
-        for filename in pending:
-            records[filename] = _analyze_file(filename, registry=registry)
+        results = [_analyze_file(filename, data, registry)
+                   for filename, data in pending]
 
-    if cache is not None and registry is None:
-        for filename in pending:
-            record = records[filename]
-            cache.store(
-                filename, record["digest"],
-                LintCache.entry_findings(record),
-                summary=record.get("summary"),
-                suppressions=LintCache.entry_suppressions(record))
+    for (filename, _), records in zip(pending, results):
+        found[filename] = tuple(Finding.from_dict(d) for d in records)
+        if use_cache:
+            cache.store(filename, digests[filename], found[filename])
 
     report = LintReport()
-    summaries: List[FileConcurrencySummary] = []
     for filename in filenames:
-        record = records[filename]
-        report.extend(LintCache.entry_findings(record))
-        if record.get("summary") is not None:
-            summaries.append(FileConcurrencySummary.from_dict(
-                record["summary"]))
-
-    for finding in analyze_package(summaries):
-        suppressions = LintCache.entry_suppressions(
-            records.get(finding.file or "", {}))
-        if not _suppressed_by_map(finding, suppressions):
-            report.add(finding)
+        report.extend(found[filename])
     return report.sorted()

@@ -1,20 +1,20 @@
 """Intraprocedural control-flow graphs and a worklist dataflow solver.
 
 The per-node AST rules of :mod:`repro.lint.code` answer "does this
-statement look wrong?"; they cannot answer "can execution *reach* this
-write without holding the lock?" or "does this wall-clock value *flow
-into* the rendered report?".  Those are whole-function questions, and
-this module supplies the machinery to ask them:
+statement look wrong?"; they cannot answer "which assignments can this
+read see?" or "does this unseeded generator *flow into* that call?".
+Those are whole-function questions, and this module supplies the
+machinery to ask them:
 
 * :func:`build_cfg` — a :class:`ControlFlowGraph` per function, covering
   branches, ``while``/``for`` loops (with ``break``/``continue`` and
   ``else``), ``try``/``except``/``else``/``finally`` (with exception
   edges), ``with``, and ``match``;
 * :func:`solve` — a generic iterate-to-fixpoint worklist solver over a
-  :class:`DataflowProblem` (forward or backward, set-union join);
-* :class:`ReachingDefinitions` / :class:`Liveness` — the two classic
-  instances, used by the determinism pack (taint-style value tracking)
-  and exposed for custom rules.
+  forward :class:`DataflowProblem` (set-union join);
+* :class:`ReachingDefinitions` — the classic instance, used by the
+  determinism pack (taint-style value tracking) and exposed for custom
+  rules.
 
 The graphs are an over-approximation by design: every statement that
 *may* raise gets an exception edge to the innermost handler (or the
@@ -26,8 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
-    Tuple, Union,
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union,
 )
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -103,16 +102,8 @@ class ControlFlowGraph:
             for statement in block.statements:
                 yield block, statement
 
-    def reachable(self, start: BasicBlock,
-                  stop: Optional[Callable[[BasicBlock], bool]] = None,
-                  ) -> Set[int]:
-        """Block indices reachable from *start* (inclusive).
-
-        Traversal does not continue *past* a block for which *stop* is
-        true, but the block itself is included — "can exit be reached
-        without passing a release?" is ``exit.index in cfg.reachable(
-        after_acquire, stop=contains_release)``.
-        """
+    def reachable(self, start: BasicBlock) -> Set[int]:
+        """Block indices reachable from *start* (inclusive)."""
         seen: Set[int] = set()
         stack = [start]
         while stack:
@@ -120,8 +111,6 @@ class ControlFlowGraph:
             if block.index in seen:
                 continue
             seen.add(block.index)
-            if stop is not None and stop(block):
-                continue
             stack.extend(succ for succ, _ in block.successors)
         return seen
 
@@ -402,18 +391,16 @@ EMPTY: Fact = frozenset()
 
 
 class DataflowProblem:
-    """A monotone dataflow problem with set-union join.
+    """A forward, monotone dataflow problem with set-union join.
 
-    Subclasses choose the ``direction`` and implement :meth:`transfer`,
-    mapping the facts entering a block to the facts leaving it.  The
-    solver iterates transfer functions to a fixpoint, so ``transfer``
-    must be monotone (growing inputs never shrink outputs).
+    Subclasses implement :meth:`transfer`, mapping the facts entering a
+    block to the facts leaving it.  The solver iterates transfer
+    functions to a fixpoint, so ``transfer`` must be monotone (growing
+    inputs never shrink outputs).
     """
 
-    direction: str = "forward"
-
     def boundary(self, cfg: ControlFlowGraph) -> Fact:
-        """Facts at the entry (forward) / exit (backward) block."""
+        """Facts at the entry block."""
         return EMPTY
 
     def transfer(self, block: BasicBlock, facts: Fact) -> Fact:
@@ -422,19 +409,9 @@ class DataflowProblem:
 
 def solve(cfg: ControlFlowGraph, problem: DataflowProblem) -> Facts:
     """Iterate *problem* over *cfg* to a fixpoint; returns per-block
-    ``(in, out)`` fact pairs (for backward problems, ``in`` is the fact
-    at block exit and ``out`` the fact at block entry)."""
-    forward = problem.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-
-    def upstream(block: BasicBlock) -> Iterable[BasicBlock]:
-        pairs = block.predecessors if forward else block.successors
-        return [b for b, _ in pairs]
-
-    def downstream(block: BasicBlock) -> Iterable[BasicBlock]:
-        pairs = block.successors if forward else block.predecessors
-        return [b for b, _ in pairs]
-
+    ``(in, out)`` fact pairs: the facts at block entry and at block
+    exit."""
+    start = cfg.entry
     facts_in: Dict[int, Fact] = {block.index: EMPTY for block in cfg}
     facts_out: Dict[int, Fact] = {block.index: EMPTY for block in cfg}
     facts_in[start.index] = problem.boundary(cfg)
@@ -445,13 +422,13 @@ def solve(cfg: ControlFlowGraph, problem: DataflowProblem) -> Facts:
         block = pending.pop(0)
         on_queue.discard(block.index)
         merged: Set = set(facts_in[start.index]) if block is start else set()
-        for source in upstream(block):
+        for source, _ in block.predecessors:
             merged |= facts_out[source.index]
         facts_in[block.index] = frozenset(merged)
         out = problem.transfer(block, facts_in[block.index])
         if out != facts_out[block.index]:
             facts_out[block.index] = out
-            for target in downstream(block):
+            for target, _ in block.successors:
                 if target.index not in on_queue:
                     pending.append(target)
                     on_queue.add(target.index)
@@ -460,7 +437,7 @@ def solve(cfg: ControlFlowGraph, problem: DataflowProblem) -> Facts:
 
 
 # ---------------------------------------------------------------------------
-# Classic instances
+# Reaching definitions
 # ---------------------------------------------------------------------------
 
 def assigned_names(statement: ast.stmt) -> Set[str]:
@@ -516,8 +493,6 @@ Definition = Tuple[str, int]
 class ReachingDefinitions(DataflowProblem):
     """Which ``(name, line)`` definitions may reach each block."""
 
-    direction = "forward"
-
     def transfer(self, block: BasicBlock, facts: Fact) -> Fact:
         live: Set[Definition] = set(facts)
         for statement in block.statements:
@@ -544,16 +519,3 @@ class ReachingDefinitions(DataflowProblem):
                             if name not in killed}
                     live.update((name, statement.lineno) for name in killed)
         return reaching
-
-
-class Liveness(DataflowProblem):
-    """Which names are live (read before any rebinding) at block exit."""
-
-    direction = "backward"
-
-    def transfer(self, block: BasicBlock, facts: Fact) -> Fact:
-        live: Set[str] = set(facts)
-        for statement in reversed(block.statements):
-            live -= assigned_names(statement)
-            live |= used_names(statement)
-        return frozenset(live)

@@ -3,6 +3,7 @@
 import json
 import textwrap
 
+from repro.lint import cache as cache_module
 from repro.lint.cache import (
     LintCache, apply_baseline, file_digest, finding_fingerprint,
     load_baseline, rules_fingerprint, write_baseline,
@@ -83,6 +84,32 @@ class TestLintCache:
         cache = LintCache.load(str(cache_path), code_rule_registry())
         assert cache.lookup("anything.py", "digest") is None
 
+    def test_schema_1_cache_loads_empty(self, tmp_path, monkeypatch):
+        # Schema-1 entries also carried a concurrency summary and a
+        # suppression map.  Such a file must read as empty, so the run
+        # re-analyzes every file rather than trusting or crashing on it.
+        root = write_tree(tmp_path)
+        registry = code_rule_registry()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA", 1)
+            schema_1 = rules_fingerprint(registry)
+        assert schema_1 != rules_fingerprint(registry)
+        dirty = str(tmp_path / "dirty.py")
+        cache_path = tmp_path / "cache.json"
+        cache_path.write_text(json.dumps({
+            "fingerprint": schema_1,
+            "files": {dirty: {
+                "digest": file_digest(DIRTY.encode()),
+                "findings": [],
+                "summary": {"path": dirty, "locks": []},
+                "suppressions": {"2": []},
+            }},
+        }))
+        cache = LintCache.load(str(cache_path), registry)
+        report = analyze_paths([root], cache=cache)
+        assert cache.hits == 0 and cache.misses == 5
+        assert [f.rule for f in report] == ["CD006"]
+
     def test_stats_line_format(self, tmp_path):
         cache = LintCache.load(str(tmp_path / "c.json"),
                                code_rule_registry())
@@ -124,10 +151,11 @@ class TestBaseline:
     def test_new_findings_survive_baseline(self, tmp_path):
         path = str(tmp_path / "baseline.json")
         write_baseline(self.make_report(), path)
-        fresh = Finding("CC001", Severity.ERROR, "lock cycle", file="c.py")
+        fresh = Finding("CD007", Severity.ERROR, "explicit acquire",
+                        file="c.py")
         report = LintReport(list(self.make_report()) + [fresh])
         remaining = apply_baseline(report, load_baseline(path))
-        assert [f.rule for f in remaining] == ["CC001"]
+        assert [f.rule for f in remaining] == ["CD007"]
 
     def test_fingerprint_is_line_independent(self):
         a = Finding("CD006", Severity.ERROR, "mutable default",

@@ -115,6 +115,59 @@ class TestBlockingCallInHandler:
         """))
 
 
+class TestExplicitAcquire:
+    def test_exception_path_leak_flagged(self):
+        report = run("""
+            class Guard:
+                def update(self, value):
+                    self._lock.acquire()
+                    self.value = compute(value)
+                    self._lock.release()
+        """)
+        finding = next(f for f in report if f.rule == "CD007")
+        assert "self._lock.acquire" in finding.message
+        assert finding.line == 4
+
+    def test_return_between_acquire_and_release_flagged(self):
+        report = run("""
+            class Guard:
+                def update(self, flag):
+                    self._lock.acquire()
+                    if flag:
+                        return None
+                    self._lock.release()
+                    return True
+        """)
+        assert "CD007" in rules_found(report)
+
+    def test_acquire_in_handler_is_one_finding(self):
+        report = run("""
+            class Brick:
+                def handle(self, event):
+                    self._lock.acquire()
+                    try:
+                        event.fire()
+                    finally:
+                        self._lock.release()
+        """)
+        assert [f.rule for f in report] == ["CD007"]
+
+    def test_with_held_lock_is_clean(self):
+        report = run("""
+            import threading
+
+            class Guard:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.value = None
+
+                def update(self, value):
+                    with self._lock:
+                        self.value = value
+        """)
+        assert len(report) == 0
+
+
 class TestBypassedRegistry:
     def test_shim_call_flagged(self):
         report = run("""

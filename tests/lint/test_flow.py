@@ -4,8 +4,8 @@ import ast
 import textwrap
 
 from repro.lint.flow import (
-    EXCEPTION, LOOP, Liveness, ReachingDefinitions, assigned_names,
-    build_cfg, iter_functions, may_raise, solve, used_names,
+    EXCEPTION, LOOP, ReachingDefinitions, assigned_names, build_cfg,
+    iter_functions, may_raise, used_names,
 )
 
 
@@ -205,26 +205,3 @@ class TestReachingDefinitions:
         lines = {line for name, line in reaching[id(ret)]
                  if name == "total"}
         assert len(lines) == 2  # initial + loop-carried
-
-
-class TestLiveness:
-    def test_parameter_used_later_is_live_at_entry(self):
-        cfg = cfg_of("""
-            def f(a, b):
-                c = a + 1
-                return c + b
-        """)
-        solution = solve(cfg, Liveness())
-        # Backward problem: facts at block *entry* are in the out slot.
-        live_at_entry = solution[cfg.entry.index][1]
-        assert {"a", "b"} <= set(live_at_entry)
-
-    def test_dead_store_not_live(self):
-        cfg = cfg_of("""
-            def f(a):
-                unused = a
-                return 1
-        """)
-        solution = solve(cfg, Liveness())
-        for block in cfg:
-            assert "unused" not in solution[block.index][0]

@@ -72,8 +72,8 @@ SARIF_21_SUBSET_SCHEMA = {
 
 def make_report():
     return LintReport([
-        Finding("CC001", Severity.ERROR, "lock cycle", file="src/a.py",
-                line=10),
+        Finding("CD007", Severity.ERROR, "explicit acquire",
+                file="src/a.py", line=10),
         Finding("DT003", Severity.WARNING, "set order", file="src/b.py",
                 line=4, col=8),
         Finding("MV009", Severity.INFO, "advice", subject="host-1"),
@@ -94,7 +94,7 @@ class TestSarifStructure:
         log = sarif_log(make_report())
         results = log["runs"][0]["results"]
         by_rule = {r["ruleId"]: r for r in results}
-        physical = by_rule["CC001"]["locations"][0]["physicalLocation"]
+        physical = by_rule["CD007"]["locations"][0]["physicalLocation"]
         assert physical["artifactLocation"]["uri"] == "src/a.py"
         assert physical["region"]["startLine"] == 10
         # AST columns are 0-based; SARIF startColumn is 1-based.
@@ -107,8 +107,8 @@ class TestSarifStructure:
         log = sarif_log(LintReport(), registry=code_rule_registry())
         rules = log["runs"][0]["tool"]["driver"]["rules"]
         ids = {rule["id"] for rule in rules}
-        assert {"CD001", "CC001", "CC002", "CC003", "DT001", "DT002",
-                "DT003"} <= ids
+        assert {"CD001", "CD007", "DT001", "DT002", "DT003"} <= ids
+        assert not any(rule_id.startswith("CC") for rule_id in ids)
         for rule in rules:
             assert rule["shortDescription"]["text"]
             assert rule["defaultConfiguration"]["level"] in (

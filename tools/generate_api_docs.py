@@ -20,8 +20,7 @@ MODULES = [
     "repro.lint.core", "repro.lint.model_rules", "repro.lint.xadl_rules",
     "repro.lint.fault_rules", "repro.lint.plan_rules",
     "repro.lint.code", "repro.lint.flow",
-    "repro.lint.concurrency", "repro.lint.determinism", "repro.lint.cache",
-    "repro.lint.sarif",
+    "repro.lint.determinism", "repro.lint.cache", "repro.lint.sarif",
     "repro.algorithms.base", "repro.algorithms.engine",
     "repro.algorithms.compiled", "repro.algorithms.search",
     "repro.algorithms.exact",
@@ -105,16 +104,14 @@ suppression syntax, and how to write custom rules.
 
 Whole-function reasoning under the code analyzer: per-function CFG
 construction (branches, loops, `try/except/finally` with exception
-edges, `with`, `match`), a generic worklist dataflow solver, and
-reaching-definitions/liveness instances.  On top of it sit the
-**concurrency pack** (`repro.lint.concurrency` — CC001 package-wide
-lock-order cycles, CC002 acquire-without-release on exception paths,
-CC003 unlocked shared writes) and the **determinism pack**
-(`repro.lint.determinism` — DT001 unseeded randomness via taint
-tracking, DT002 wall clocks in serialization, DT003 set iteration order
-escaping into rendered output), plus the production plumbing: a
-content-hash result cache with baseline suppression files
-(`repro.lint.cache`) and a SARIF 2.1.0 reporter (`repro.lint.sarif`).
+edges, `with`, `match`), a generic forward worklist dataflow solver,
+and a reaching-definitions instance.  On top of it sits the
+**determinism pack** (`repro.lint.determinism` — DT001 unseeded
+randomness via taint tracking, DT002 wall clocks in serialization,
+DT003 set iteration order escaping into rendered output), plus the
+production plumbing: a content-hash result cache with baseline
+suppression files (`repro.lint.cache`) and a SARIF 2.1.0 reporter
+(`repro.lint.sarif`).
 """,
     "repro.algorithms.engine": """\
 ## Evaluation engine & algorithm portfolio
