@@ -34,7 +34,7 @@ from repro.algorithms.decap import (
 )
 from repro.algorithms.engine import (
     DeploymentCache, EvaluationEngine, EvaluationStats, PortfolioOutcome,
-    PortfolioReport, PortfolioRunner, run_portfolio,
+    PortfolioReport, PortfolioRunner,
 )
 from repro.algorithms.exact import ExactAlgorithm
 from repro.algorithms.genetic import GeneticAlgorithm
@@ -80,5 +80,4 @@ __all__ = [
     "make_checker",
     "register_kernel",
     "random_valid_deployment",
-    "run_portfolio",
 ]

@@ -190,15 +190,6 @@ class DeploymentAlgorithm(ABC):
         self._evaluations += 1
         return self._engine.evaluate(model, deployment)
 
-    def _move_delta(self, model: DeploymentModel,
-                    deployment: Mapping[str, str], component: str,
-                    new_host: str) -> float:
-        """Objective change for one component move, counted as one
-        evaluation and routed through the engine's delta fast path."""
-        self._evaluations += 1
-        return self._engine.move_delta(model, deployment, component,
-                                       new_host)
-
     def _count_evaluation(self, n: int = 1) -> None:
         """Record *n* incremental (delta-based) evaluations."""
         self._evaluations += n

@@ -11,19 +11,16 @@ Two hot-path observations drive this module:
   through an O(degree) delta (the compiled kernel's, or the objective's own
   ``move_delta``) whenever the objective declares ``supports_delta``.
 
-* One slow or crashing algorithm must not stall the monitor→analyze→effect
-  loop.  :class:`PortfolioRunner` executes a portfolio of algorithms
-  against one shared memo; failed or timed-out algorithms degrade to a
-  skipped :class:`PortfolioOutcome` instead of aborting the cycle.  Without
-  a deadline the members run one after another on the calling thread
-  (under the GIL a thread pool only adds contention); with one they run in
-  a thread pool, so the cycle can give up on a stuck member, and per-run
-  budgets make overrunning algorithms truncate gracefully inside their own
-  thread.
+* One failing algorithm must not abort the monitor→analyze→effect loop.
+  :class:`PortfolioRunner` executes a portfolio of algorithms one after
+  another on the calling thread, against one shared memo; failed
+  algorithms degrade to a skipped :class:`PortfolioOutcome`, and a per-run
+  evaluation budget makes an overrunning algorithm truncate gracefully to
+  its best-so-far deployment.
 
-Evaluation counters (cache hits/misses, full vs delta evaluations, wall
-time against budget) are recorded into ``AlgorithmResult.extra["engine"]``
-so benchmarks can prove the savings.
+Evaluation counters (cache hits/misses, full vs delta evaluations, budget
+state) are recorded into ``AlgorithmResult.extra["engine"]`` so benchmarks
+can prove the savings.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ import contextlib
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -177,7 +172,6 @@ class EvaluationEngine:
         cache: Shared memo; a private one is created when omitted.
         max_evaluations: Budget on charged evaluations (full + delta) per
             run; ``None`` means unlimited.
-        max_seconds: Wall-clock budget per run; ``None`` means unlimited.
 
     Evaluation routes through the compiled kernels of
     :mod:`repro.algorithms.compiled` when the objective has one (built-in
@@ -189,39 +183,24 @@ class EvaluationEngine:
     def __init__(self, objective: Objective,
                  constraints: Optional[ConstraintSet] = None, *,
                  cache: Optional[DeploymentCache] = None,
-                 max_evaluations: Optional[int] = None,
-                 max_seconds: Optional[float] = None):
+                 max_evaluations: Optional[int] = None):
         self.objective = objective
         self.constraints = constraints if constraints is not None else ConstraintSet()
         self.cache = cache if cache is not None else DeploymentCache()
         self.max_evaluations = max_evaluations
-        self.max_seconds = max_seconds
         self.stats = EvaluationStats()
-        self._started = time.perf_counter()
         self._best: Optional[Tuple[Deployment, float]] = None
         # (model weakref, CompiledModel the kernel was built against,
         #  kernel or None): one kernel per model generation per engine, so
-        # stateful kernels are never shared across portfolio threads.
+        # stateful kernels are never shared between portfolio members.
         self._kernel_state: Optional[
             Tuple[weakref.ref, CompiledModel, Optional[Kernel]]] = None
 
     # -- run lifecycle ------------------------------------------------------
     def reset(self) -> None:
-        """Start a fresh run: zero the counters, restart the clock."""
+        """Start a fresh run: zero the counters and the best-so-far."""
         self.stats = EvaluationStats()
-        self._started = time.perf_counter()
         self._best = None
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._started
-
-    @property
-    def exhausted(self) -> bool:
-        if (self.max_evaluations is not None
-                and self.stats.charged >= self.max_evaluations):
-            return True
-        return self.max_seconds is not None and self.elapsed >= self.max_seconds
 
     def _charge(self) -> None:
         if self.max_evaluations is not None \
@@ -230,11 +209,6 @@ class EvaluationEngine:
             raise EvaluationBudgetExceeded(
                 f"{self.objective.name}: evaluation budget "
                 f"{self.max_evaluations} exhausted")
-        if self.max_seconds is not None and self.elapsed >= self.max_seconds:
-            self.stats.truncated = True
-            raise EvaluationBudgetExceeded(
-                f"{self.objective.name}: time budget "
-                f"{self.max_seconds:.3f}s exhausted")
 
     # -- compiled-kernel routing --------------------------------------------
     def _kernel_for(self, model: DeploymentModel) -> Optional[Kernel]:
@@ -359,12 +333,6 @@ class EvaluationEngine:
             compiled.host_ids[host_index]
         return self.evaluate(model, moved) - base
 
-    def evaluate_move(self, model: DeploymentModel,
-                      deployment: Mapping[str, str], component: str,
-                      new_host: str, current_value: float) -> float:
-        return current_value + self.move_delta(model, deployment, component,
-                                               new_host)
-
     # -- best-so-far (graceful truncation) ----------------------------------
     def _track_best(self, deployment: Deployment, value: float) -> None:
         if self._best is None or self.objective.is_better(value,
@@ -392,9 +360,7 @@ class EvaluationEngine:
             "supports_delta": bool(getattr(self.objective, "supports_delta",
                                            False)),
             "truncated": self.stats.truncated,
-            "elapsed": self.elapsed,
             "max_evaluations": self.max_evaluations,
-            "max_seconds": self.max_seconds,
         }
 
     def __repr__(self) -> str:
@@ -411,7 +377,6 @@ class EvaluationEngine:
 OK = "ok"
 SKIPPED = "skipped"     # AlgorithmError (e.g. exact's space guard, no valid)
 ERROR = "error"         # unexpected exception inside the algorithm
-TIMEOUT = "timeout"     # per-algorithm wall-clock deadline passed
 
 
 @dataclass
@@ -510,51 +475,34 @@ class PortfolioRunner:
     member is free for every other member — and for later runs of the same
     runner, until the model changes.
 
-    How the members run follows from ``algorithm_timeout``.  Without one,
-    they run one after another on the calling thread, in submission order:
-    members are pure Python, so under the GIL a thread pool cannot overlap
-    their work and only adds switching cost, and the serial order makes
-    every engine counter deterministic.  With a deadline they run in a
-    thread pool, because only a separate thread lets the cycle give up on
-    a stuck member.  A timed-out algorithm cannot be killed mid-thread, so
-    the runner also arms each engine's ``max_seconds`` with the timeout:
-    the overrunning algorithm truncates itself at its next evaluation
-    while the portfolio has already moved on.
+    The members run one after another on the calling thread, in submission
+    order: they are pure Python, so under the GIL a thread pool could not
+    overlap their work, and the serial order makes every engine counter
+    deterministic.  A member's cost is bounded by its evaluation budget,
+    never by the wall clock.
 
     Args:
-        algorithm_timeout: Per-algorithm wall-clock deadline in seconds
-            (None = unlimited, and no threads).
-        max_evaluations / max_seconds: Per-algorithm engine budgets.
+        max_evaluations: Per-algorithm engine budget on charged
+            evaluations (None = unlimited).
         cache: Shared memo; a private persistent one is created when
             omitted.
     """
 
-    def __init__(self, *, algorithm_timeout: Optional[float] = None,
-                 max_evaluations: Optional[int] = None,
-                 max_seconds: Optional[float] = None,
+    def __init__(self, *, max_evaluations: Optional[int] = None,
                  cache: Optional[DeploymentCache] = None):
-        self.algorithm_timeout = algorithm_timeout
         self.max_evaluations = max_evaluations
-        self.max_seconds = max_seconds
         self.cache = cache if cache is not None else DeploymentCache()
 
     # ------------------------------------------------------------------
-    def _engine_for(self, algorithm: Any) -> EvaluationEngine:
-        max_seconds = self.max_seconds
-        if self.algorithm_timeout is not None:
-            max_seconds = (self.algorithm_timeout if max_seconds is None
-                           else min(max_seconds, self.algorithm_timeout))
-        return EvaluationEngine(
-            algorithm.objective, algorithm.constraints, cache=self.cache,
-            max_evaluations=self.max_evaluations, max_seconds=max_seconds)
-
     def _run_one(self, name: str, factory: AlgorithmFactory,
                  model: DeploymentModel,
                  initial: Optional[Mapping[str, str]]) -> PortfolioOutcome:
         started = time.perf_counter()
         try:
             algorithm = factory()
-            engine = self._engine_for(algorithm)
+            engine = EvaluationEngine(
+                algorithm.objective, algorithm.constraints, cache=self.cache,
+                max_evaluations=self.max_evaluations)
             result = algorithm.run(model, initial=initial, engine=engine)
             return PortfolioOutcome(name, OK, result=result,
                                     elapsed=time.perf_counter() - started)
@@ -572,53 +520,9 @@ class PortfolioRunner:
         """Execute every factory against *model*; never raises per-algorithm
         failures — each is captured as a degraded outcome."""
         started = time.perf_counter()
-        ordered = list(factories.items())
         report = PortfolioReport()
-        if not ordered:
-            return report
-        if self.algorithm_timeout is None:
-            for name, factory in ordered:
-                report.outcomes.append(
-                    self._run_one(name, factory, model, initial))
-            report.elapsed = time.perf_counter() - started
-            return report
-
-        pool = ThreadPoolExecutor(max_workers=len(ordered),
-                                  thread_name_prefix="portfolio")
-        try:
-            futures = [(name, pool.submit(self._run_one, name, factory,
-                                          model, initial))
-                       for name, factory in ordered]
-            for name, future in futures:
-                # Deadline measured from portfolio start (plus scheduling
-                # grace): members run concurrently, so the whole cycle's
-                # wall clock stays bounded by one timeout, not their sum.
-                remaining = (started + self.algorithm_timeout + 0.05
-                             - time.perf_counter())
-                try:
-                    report.outcomes.append(
-                        future.result(timeout=max(0.0, remaining)))
-                except _FutureTimeout:
-                    future.cancel()
-                    report.outcomes.append(PortfolioOutcome(
-                        name, TIMEOUT,
-                        error=f"exceeded {self.algorithm_timeout:.3f}s",
-                        elapsed=time.perf_counter() - started))
-        finally:
-            # wait=False: a hung member must not stall the cycle — its
-            # engine's max_seconds makes it truncate itself in-thread.
-            pool.shutdown(wait=False)
+        for name, factory in factories.items():
+            report.outcomes.append(self._run_one(name, factory, model,
+                                                 initial))
         report.elapsed = time.perf_counter() - started
         return report
-
-
-def run_portfolio(model: DeploymentModel,
-                  factories: Mapping[str, AlgorithmFactory], *,
-                  algorithm_timeout: Optional[float] = None,
-                  max_evaluations: Optional[int] = None,
-                  initial: Optional[Mapping[str, str]] = None,
-                  ) -> PortfolioReport:
-    """One-shot convenience wrapper around :class:`PortfolioRunner`."""
-    runner = PortfolioRunner(algorithm_timeout=algorithm_timeout,
-                             max_evaluations=max_evaluations)
-    return runner.run(model, factories, initial=initial)

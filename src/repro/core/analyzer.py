@@ -91,7 +91,7 @@ class Decision:
     candidates: List[AlgorithmResult] = field(default_factory=list)
     algorithms_run: List[str] = field(default_factory=list)
     guard_values: Dict[str, float] = field(default_factory=dict)
-    #: Full per-algorithm outcome record (ok/skipped/error/timeout) of the
+    #: Full per-algorithm outcome record (ok/skipped/error) of the
     #: portfolio run behind this decision.
     portfolio: Optional[PortfolioReport] = None
 
@@ -138,12 +138,6 @@ class Analyzer:
         guard_tolerance: Allowed multiplicative worsening of the guard
             objective (1.10 = up to 10% worse latency is acceptable).
         seed: Seed handed to the stock algorithms.
-        algorithm_timeout: Per-algorithm wall-clock deadline per cycle in
-            seconds; a timed-out algorithm degrades to a skipped outcome.
-            With a deadline the selected algorithms run concurrently in a
-            thread pool so a stuck one can be abandoned; without one
-            (the default) they run one after another on the calling
-            thread, which costs less CPU under the GIL.
         evaluation_budget: Per-algorithm cap on charged objective
             evaluations per cycle (graceful truncation).
         planner: Optional :class:`repro.plan.MigrationPlanner`; when set,
@@ -166,7 +160,6 @@ class Analyzer:
                  min_improvement: float = 0.01,
                  guard_tolerance: float = 1.10,
                  seed: Optional[int] = None,
-                 algorithm_timeout: Optional[float] = None,
                  evaluation_budget: Optional[int] = None,
                  planner: Optional["MigrationPlanner"] = None,
                  max_makespan: Optional[float] = None,
@@ -202,9 +195,8 @@ class Analyzer:
             EvaluationEngine(latency_guard, self.constraints,
                              cache=self._cache)
             if latency_guard is not None else None)
-        self._portfolio = PortfolioRunner(
-            algorithm_timeout=algorithm_timeout,
-            max_evaluations=evaluation_budget, cache=self._cache)
+        self._portfolio = PortfolioRunner(max_evaluations=evaluation_budget,
+                                          cache=self._cache)
         self._install_default_algorithms()
 
     # ------------------------------------------------------------------
@@ -273,12 +265,10 @@ class Analyzer:
     def analyze(self, model: DeploymentModel, now: float = 0.0) -> Decision:
         """Run one analysis cycle against *model* and decide what to do.
 
-        The selected algorithms execute as a portfolio, each under the
-        configured timeout/evaluation budget: serially on this thread, or
-        concurrently when the analyzer has an ``algorithm_timeout``.  An
-        algorithm that fails, crashes, or times out degrades to a skipped
-        outcome (recorded in ``decision.portfolio``) — it never aborts the
-        cycle.
+        The selected algorithms execute as a portfolio, one after another
+        on this thread, each under the configured evaluation budget.  An
+        algorithm that fails or crashes degrades to a skipped outcome
+        (recorded in ``decision.portfolio``) — it never aborts the cycle.
         """
         obs = self.obs
         with obs.span("analyzer.cycle") as cycle_span:

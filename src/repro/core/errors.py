@@ -64,7 +64,7 @@ class NoValidDeploymentError(AlgorithmError):
 
 
 class EvaluationBudgetExceeded(AlgorithmError):
-    """An evaluation engine exhausted its evaluation or time budget.
+    """An evaluation engine exhausted its evaluation budget.
 
     Raised from :class:`repro.algorithms.engine.EvaluationEngine` when a
     per-run budget runs out.  :meth:`DeploymentAlgorithm.run` catches it and

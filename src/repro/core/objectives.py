@@ -413,9 +413,11 @@ class WeightedObjective(Objective):
             raise ValueError("scales must match terms one-to-one")
         self.scales: Tuple[float, ...] = tuple(scales)
         self.name = "weighted(" + "+".join(o.name for o, __ in self.terms) + ")"
-        # Incremental only when every term is: a non-delta term would make
-        # move_delta as expensive as two full evaluations of that term.
-        self.supports_delta = all(o.supports_delta for o, __ in self.terms)
+        # Incremental only when one route serves every term: a non-delta
+        # term, or built-ins (kernel-served) mixed with custom move_delta
+        # overrides (no WeightedKernel compiles), would pay two full
+        # evaluations per term while claiming a delta.
+        self.supports_delta = _delta_route(self) is not None
         # A weighted sum of move deltas is neighbor-local iff every term is.
         self.local_delta = all(o.local_delta for o, __ in self.terms)
 
@@ -447,6 +449,20 @@ class WeightedObjective(Objective):
         """Per-term raw values, useful for analyzer trade-off reporting."""
         return {objective.name: objective.evaluate(model, deployment)
                 for objective, __ in self.terms}
+
+
+def _delta_route(objective: Objective) -> Optional[str]:
+    """How *objective* scores a move incrementally: ``"kernel"`` (a
+    compiled kernel, the built-ins' route), ``"object"`` (its own
+    ``move_delta`` override), or None when it has no incremental route."""
+    if isinstance(objective, WeightedObjective):
+        routes = {_delta_route(term) for term, __ in objective.terms}
+        return routes.pop() if len(routes) == 1 else None
+    if not objective.supports_delta:
+        return None
+    if type(objective).move_delta is Objective.move_delta:
+        return "kernel"
+    return "object"
 
 
 def evaluate_all(objectives: Sequence[Objective], model: DeploymentModel,

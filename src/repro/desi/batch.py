@@ -186,9 +186,9 @@ class ExperimentRunner:
             per run so internal RNG state never leaks across runs.
         replicates: Architectures generated per family.
         seed: Base seed; family i, replicate j uses ``seed + i*1000 + j``.
-        max_evaluations / max_seconds: Per-run evaluation-engine budgets;
-            over-budget runs truncate gracefully to their best-so-far
-            deployment and are counted in ``CellResult.truncated_runs``.
+        max_evaluations: Per-run evaluation-engine budget; over-budget
+            runs truncate gracefully to their best-so-far deployment and
+            are counted in ``CellResult.truncated_runs``.
         preflight: Statically verify every generated model before any
             algorithm searches it (:func:`repro.lint.model_rules.
             verify_deployment`); a model with error-severity findings
@@ -216,7 +216,6 @@ class ExperimentRunner:
                  algorithms: Dict[str, AlgorithmFactory],
                  replicates: int = 5, seed: int = 0,
                  max_evaluations: Optional[int] = None,
-                 max_seconds: Optional[float] = None,
                  preflight: bool = True,
                  workers: Optional[int] = None,
                  obs: Optional[Observability] = None):
@@ -231,7 +230,6 @@ class ExperimentRunner:
         self.replicates = replicates
         self.seed = seed
         self.max_evaluations = max_evaluations
-        self.max_seconds = max_seconds
         self.preflight = preflight
         self.workers = workers
         self.obs = obs if obs is not None else get_observability()
@@ -287,8 +285,7 @@ class ExperimentRunner:
         observed = self.obs.metrics.enabled
         jobs = [
             (family, algorithm_name, self.algorithms[algorithm_name],
-             model_xmls, initials, self.max_evaluations, self.max_seconds,
-             observed)
+             model_xmls, initials, self.max_evaluations, observed)
             for family, model_xmls, initials in prepared
             for algorithm_name in sorted(self.algorithms)
         ]
@@ -327,11 +324,11 @@ def _run_cell_job(job: Tuple) -> Tuple[CellResult, Optional[list]]:
     sweep is observed) the worker's metric lines for parent-side merging —
     registries themselves never cross the process boundary."""
     (family, algorithm_name, factory, model_xmls, initials,
-     max_evaluations, max_seconds, observed) = job
+     max_evaluations, observed) = job
     models = [from_xml(text) for text in model_xmls]
     registry = MetricsRegistry() if observed else None
     cell = _execute_cell(family, algorithm_name, factory, models, initials,
-                         max_evaluations, max_seconds, registry)
+                         max_evaluations, registry)
     return cell, (registry.to_lines() if registry is not None else None)
 
 
@@ -340,7 +337,6 @@ def _execute_cell(family: str, algorithm_name: str,
                   models: Sequence[DeploymentModel],
                   initials: Sequence[float],
                   max_evaluations: Optional[int],
-                  max_seconds: Optional[float],
                   registry: Optional[MetricsRegistry] = None) -> CellResult:
     values: List[float] = []
     elapsed: List[float] = []
@@ -354,10 +350,8 @@ def _execute_cell(family: str, algorithm_name: str,
     failures = 0
     for model in models:
         algorithm = factory()
-        engine = EvaluationEngine(
-            algorithm.objective, algorithm.constraints,
-            max_evaluations=max_evaluations,
-            max_seconds=max_seconds)
+        engine = EvaluationEngine(algorithm.objective, algorithm.constraints,
+                                  max_evaluations=max_evaluations)
         try:
             result = algorithm.run(model.copy(), engine=engine)
         except AlgorithmError:

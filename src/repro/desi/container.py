@@ -21,7 +21,7 @@ algorithm already evaluated.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.algorithms.base import AlgorithmResult
 from repro.algorithms.engine import (
@@ -35,10 +35,9 @@ class AlgorithmContainer:
     """Registry + runner for deployment estimation algorithms.
 
     :meth:`invoke` runs one algorithm; :meth:`invoke_all` and
-    :meth:`invoke_portfolio` run every registered one through a
-    :class:`~repro.algorithms.engine.PortfolioRunner`: one after another on
-    the calling thread, or in a thread pool when an ``algorithm_timeout``
-    is given.  Every invocation shares the container's evaluation cache.
+    :meth:`invoke_portfolio` run every registered one, in registration
+    order, through a :class:`~repro.algorithms.engine.PortfolioRunner`.
+    Every invocation shares the container's evaluation cache.
     """
 
     def __init__(self, desi: DeSiModel):
@@ -74,32 +73,23 @@ class AlgorithmContainer:
         self._record(result)
         return result
 
-    def invoke_all(self, algorithm_timeout: Optional[float] = None,
-                   ) -> List[AlgorithmResult]:
+    def invoke_all(self) -> List[AlgorithmResult]:
         """Run every registered algorithm (DeSi's Algorithms panel buttons,
         pressed in order) and record each outcome.
 
         The algorithms run as a portfolio sharing this container's
-        evaluation cache; failed or timed-out algorithms are skipped rather
-        than aborting the sweep (their fate is available via
+        evaluation cache; failed algorithms are skipped rather than
+        aborting the sweep (their fate is available via
         :meth:`invoke_portfolio`).
         """
-        return [outcome.result
-                for outcome in self.invoke_portfolio(
-                    algorithm_timeout=algorithm_timeout).outcomes
+        return [outcome.result for outcome in self.invoke_portfolio().outcomes
                 if outcome.result is not None]
 
-    def invoke_portfolio(self, algorithm_timeout: Optional[float] = None,
-                         ) -> PortfolioReport:
-        """Run every registered algorithm as a portfolio, returning the full
-        per-algorithm outcome report (ok / skipped / error / timeout).
-
-        Without *algorithm_timeout* the algorithms run in registration
-        order on the calling thread; with one they run concurrently, so a
-        stuck algorithm can be reported as timed out.
-        """
-        runner = PortfolioRunner(algorithm_timeout=algorithm_timeout,
-                                 cache=self._cache)
+    def invoke_portfolio(self) -> PortfolioReport:
+        """Run every registered algorithm as a portfolio, in registration
+        order, returning the full per-algorithm outcome report (ok /
+        skipped / error)."""
+        runner = PortfolioRunner(cache=self._cache)
         report = runner.run(self.desi.deployment_model,
                             dict(self.registry.items()))
         for outcome in report.outcomes:

@@ -193,15 +193,27 @@ class UnseededRandomRule(Rule):
     tags = frozenset({"determinism"})
 
     def check(self, context: Any) -> Iterable[Finding]:
+        source_lines: List[int] = []
         for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call) and _is_global_rng_call(node):
+            if not isinstance(node, ast.Call):
+                continue
+            if _is_global_rng_call(node):
                 label = _dotted(node.func)
                 yield self.finding(
                     f"{label}() draws from the process-global RNG; use "
                     "an explicitly seeded random.Random(seed)",
                     file=context.path, line=node.lineno,
                     col=node.col_offset)
+            if _is_unseeded_generator(node):
+                source_lines.append(node.lineno)
+        if not source_lines:
+            return  # no generator is constructed, so nothing is tainted
         for function in iter_functions(context.tree):
+            # A function with no source call inside it has no taint: skip
+            # its CFG and dataflow.
+            if not any(function.lineno <= line <= function.end_lineno
+                       for line in source_lines):
+                continue
             flows = tainted_uses(function, _is_unseeded_generator)
             reported: Set[Tuple[str, int]] = set()
             for name, def_line, use_line in flows:

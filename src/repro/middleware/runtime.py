@@ -280,20 +280,9 @@ class DistributedSystem:
         kb_before = self.network.stats.kb_sent
         initiated = self.deployer.enact(target)
         deadline = start_time + max_wait
-        # pending_moves is a plain dict mutated in place by the deployer's
-        # ack handlers, so capturing the object keeps the stop condition
-        # to two truthiness checks; run_while_pending inlines both the
-        # condition and the per-event dispatch the seed paid a step()
-        # call (plus attribute chain) for.  The stop point is identical.
-        pending = self.deployer.pending_moves
-        clock = self.clock
-        runner = getattr(clock, "run_while_pending", None)
-        if runner is not None:
-            runner(pending, deadline)
-        else:  # duck-typed clocks (tests): the seed loop
-            while pending and clock.now < deadline:
-                if not clock.step():
-                    break
+        # pending_moves is a plain dict the deployer's ack handlers empty
+        # in place, so the clock can test it directly after every event.
+        self.clock.run_while_pending(self.deployer.pending_moves, deadline)
         duration = self.clock.now - start_time
         if self.deployer.pending_moves:
             raise MigrationTimeoutError(

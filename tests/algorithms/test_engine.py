@@ -1,13 +1,14 @@
 """Tests for the evaluation engine and the portfolio runner.
 
 Covers the memo cache's model-listener invalidation, the delta fast path
-and its fallback, budget-exhaustion truncation, and the portfolio's
-degrade-don't-abort guarantees (crash, give-up, timeout).
+and its fallback, budget-exhaustion truncation, the portfolio's
+degrade-don't-abort guarantees (crash, give-up), and same-seed identity of
+the timing-free reports.
 """
 
 from __future__ import annotations
 
-import time
+import threading
 
 import pytest
 
@@ -16,13 +17,13 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import DeploymentAlgorithm
 from repro.algorithms.engine import (
-    ERROR, OK, SKIPPED, TIMEOUT, DeploymentCache, EvaluationEngine,
-    PortfolioRunner, run_portfolio,
+    ERROR, OK, SKIPPED, DeploymentCache, EvaluationEngine, PortfolioRunner,
 )
 from repro.core.analyzer import Analyzer
 from repro.core.errors import EvaluationBudgetExceeded, NoValidDeploymentError
 from repro.core.objectives import (
     AvailabilityObjective, CommunicationCostObjective, Objective,
+    WeightedObjective,
 )
 
 
@@ -42,21 +43,6 @@ class GivingUpAlgorithm(DeploymentAlgorithm):
 
     def _search(self, model, initial):
         raise NoValidDeploymentError("nothing satisfies the constraints")
-
-
-class SleepyAlgorithm(DeploymentAlgorithm):
-    """Simulates an algorithm that blows its deadline."""
-
-    name = "sleepy"
-
-    def __init__(self, objective, constraints=None, seed=None,
-                 naptime: float = 1.0):
-        super().__init__(objective, constraints, seed)
-        self.naptime = naptime
-
-    def _search(self, model, initial):
-        time.sleep(self.naptime)
-        return initial, {}
 
 
 class TestDeploymentCache:
@@ -153,6 +139,40 @@ class TestEvaluationEngine:
             objective.evaluate(tiny_model, moved)
             - objective.evaluate(tiny_model, deployment), abs=1e-9)
 
+    def test_mixed_weighted_delta_counts_as_fallback(self, tiny_model):
+        # Built-in terms are delta-served only by their kernels and the
+        # custom term has none, so no WeightedKernel compiles: the mix has
+        # no incremental route and must not be counted as one.
+        class Spread(Objective):
+            name = "spread"
+            supports_delta = True
+
+            def evaluate(self, model, deployment):
+                return float(len(set(deployment.values())))
+
+            def move_delta(self, model, deployment, component, new_host):
+                moved = dict(deployment, **{component: new_host})
+                return self.evaluate(model, moved) - self.evaluate(
+                    model, deployment)
+
+        assert Spread().supports_delta is True
+        mixed = WeightedObjective([(AvailabilityObjective(), 1),
+                                   (Spread(), 0.1)])
+        assert mixed.supports_delta is False
+        engine = EvaluationEngine(mixed)
+        deployment = dict(tiny_model.deployment)
+        delta = engine.move_delta(tiny_model, deployment, "c1", "hB")
+        assert engine.stats.delta_fallbacks == 1
+        assert engine.stats.delta_evaluations == 0
+        assert engine.stats.full_evaluations == 2  # base + moved, memoized
+        moved = dict(deployment, c1="hB")
+        assert delta == pytest.approx(
+            mixed.evaluate(tiny_model, moved)
+            - mixed.evaluate(tiny_model, deployment), abs=1e-12)
+        # One route for every term keeps the fast path.
+        assert WeightedObjective([(Spread(), 1), (Spread(), 0.1)]
+                                 ).supports_delta is True
+
     def test_evaluation_budget_raises_when_exhausted(self, tiny_model,
                                                      availability):
         engine = EvaluationEngine(availability, max_evaluations=2)
@@ -179,15 +199,13 @@ class TestEvaluationEngine:
         assert counters["full_evaluations"] <= 10 + 1  # +1 final (uncharged)
 
     def test_snapshot_reports_budgets(self, tiny_model, availability):
-        engine = EvaluationEngine(availability, max_evaluations=50,
-                                  max_seconds=2.0)
+        engine = EvaluationEngine(availability, max_evaluations=50)
         engine.evaluate(tiny_model, tiny_model.deployment)
         snapshot = engine.snapshot()
         assert snapshot["full_evaluations"] == 1
         assert snapshot["max_evaluations"] == 50
-        assert snapshot["max_seconds"] == 2.0
         assert snapshot["supports_delta"] is True
-        assert snapshot["elapsed"] >= 0.0
+        assert "elapsed" not in snapshot  # counters only, no wall clock
 
 
 class TestPortfolioRunner:
@@ -200,7 +218,7 @@ class TestPortfolioRunner:
         }
 
     def test_all_ok(self, small_model, availability, memory_constraints):
-        report = run_portfolio(
+        report = PortfolioRunner().run(
             small_model, self._factories(availability, memory_constraints))
         assert [o.status for o in report.outcomes] == [OK, OK]
         assert set(report.succeeded) == {"avala", "stochastic"}
@@ -212,7 +230,7 @@ class TestPortfolioRunner:
         factories = self._factories(availability, memory_constraints)
         factories["crashing"] = lambda: CrashingAlgorithm(
             availability, memory_constraints)
-        report = run_portfolio(small_model, factories)
+        report = PortfolioRunner().run(small_model, factories)
         assert report.outcome("crashing").status == ERROR
         assert "boom" in report.outcome("crashing").error
         assert set(report.succeeded) == {"avala", "stochastic"}
@@ -223,21 +241,9 @@ class TestPortfolioRunner:
         factories = self._factories(availability, memory_constraints)
         factories["giving_up"] = lambda: GivingUpAlgorithm(
             availability, memory_constraints)
-        report = run_portfolio(small_model, factories)
+        report = PortfolioRunner().run(small_model, factories)
         assert report.outcome("giving_up").status == SKIPPED
         assert set(report.succeeded) == {"avala", "stochastic"}
-
-    def test_slow_member_times_out(self, small_model, availability,
-                                   memory_constraints):
-        factories = self._factories(availability, memory_constraints)
-        factories["sleepy"] = lambda: SleepyAlgorithm(
-            availability, memory_constraints, naptime=1.0)
-        runner = PortfolioRunner(algorithm_timeout=0.2)
-        report = runner.run(small_model, factories)
-        assert report.outcome("sleepy").status == TIMEOUT
-        assert set(report.succeeded) == {"avala", "stochastic"}
-        # The cycle's wall clock is bounded by the timeout, not the nap.
-        assert report.elapsed < 1.0
 
     def test_shared_cache_saves_full_evaluations(self, small_model,
                                                  availability,
@@ -271,13 +277,11 @@ class TestPortfolioRunner:
     def test_no_deadline_starts_no_thread(self, small_model, medium_model,
                                           availability, memory_constraints,
                                           monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a portfolio without a deadline "
-                                 "started a thread pool")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the decision path started a thread")
 
-        monkeypatch.setattr("repro.algorithms.engine.ThreadPoolExecutor",
-                            no_pool)
-        report = run_portfolio(
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        report = PortfolioRunner().run(
             small_model, self._factories(availability, memory_constraints))
         assert [o.status for o in report.outcomes] == [OK, OK]
         decision = Analyzer(AvailabilityObjective(), seed=5).analyze(
@@ -299,42 +303,6 @@ class TestAnalyzerResilience:
         assert decision.portfolio.outcome("crashing").status == ERROR
         assert "crashing" in decision.portfolio.degraded
 
-    def test_timed_out_algorithm_does_not_abort_analyze(self, medium_model):
-        analyzer = Analyzer(AvailabilityObjective(), seed=5,
-                            algorithm_timeout=0.25)
-        analyzer.registry.register(
-            "sleepy", lambda: SleepyAlgorithm(analyzer.objective,
-                                              analyzer.constraints,
-                                              naptime=1.5),
-            tier="thorough")
-        decision = analyzer.analyze(medium_model)
-        assert decision.action in ("redeploy", "no_action")
-        assert decision.portfolio.outcome("sleepy").status == TIMEOUT
-
-    def test_decision_matches_sequential_analysis(self, medium_model):
-        # A deadline runs the portfolio in a thread pool; the default runs
-        # it serially.  Only which member pays for a shared deployment
-        # first may differ, i.e. the memo counters.
-        racy = {"full_evaluations", "cache_hits", "cache_misses",
-                "kernel_evaluations"}
-        threaded = Analyzer(AvailabilityObjective(), seed=5,
-                            algorithm_timeout=60)
-        serial = Analyzer(AvailabilityObjective(), seed=5)
-        a = threaded.analyze(medium_model.copy())
-        b = serial.analyze(medium_model.copy())
-        assert a.action == b.action
-        assert a.selected is not None and b.selected is not None
-        assert a.selected.algorithm == b.selected.algorithm
-        assert a.selected.deployment == b.selected.deployment
-        assert a.selected.value == b.selected.value
-
-        def gated(decision):
-            return {key: value
-                    for key, value in decision.portfolio.counters().items()
-                    if key not in racy}
-
-        assert gated(a) == gated(b)
-
     def test_serial_cycles_have_deterministic_counters(self, medium_model):
         def cycles():
             model = medium_model.copy()
@@ -354,6 +322,41 @@ class TestAnalyzerResilience:
         assert first == second
         assert all(c["full_evaluations"] + c["cache_hits"] > 0
                    for c in first)
+
+
+class TestTimingFreeReports:
+    """With timing excluded, a report is a pure function of (model, seed)."""
+
+    def test_same_seed_runs_serialize_identically(self, medium_model,
+                                                  availability,
+                                                  memory_constraints):
+        def run():
+            algorithm = StochasticAlgorithm(availability, memory_constraints,
+                                            seed=11, iterations=30)
+            return algorithm.run(medium_model.copy()).to_dict(
+                include_timing=False)
+
+        assert run() == run()
+
+    def test_same_seed_portfolios_serialize_identically(self, medium_model,
+                                                        availability,
+                                                        memory_constraints):
+        def run():
+            factories = {
+                "avala": lambda: AvalaAlgorithm(
+                    availability, memory_constraints, seed=11),
+                "stochastic": lambda: StochasticAlgorithm(
+                    availability, memory_constraints, seed=11,
+                    iterations=30),
+                "hillclimb": lambda: HillClimbingAlgorithm(
+                    availability, memory_constraints, seed=11,
+                    max_rounds=10),
+            }
+            return PortfolioRunner().run(medium_model.copy(),
+                                         factories).to_dict(
+                include_timing=False)
+
+        assert run() == run()
 
 
 class TestKernelRouting:

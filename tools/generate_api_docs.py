@@ -139,23 +139,24 @@ route (`EvaluationEngine.move_delta`); their `evaluate` methods stay as
 the readable reference.  Throughput (bottleneck max) and durability
 (lifetime min) kernels localize a move with per-host-pair demand /
 per-host draw accumulators.  `WeightedObjective` supports the fast path
-iff all of its terms do.  (`repro.lint` rule MV015 flags objectives that
-declare the fast path without either.)
+iff one route serves all of its terms: every term kernel-served, or every
+term with its own `move_delta`.  (`repro.lint` rule MV015 flags objectives
+that declare the fast path without either.)
 
-**Budgets and graceful truncation.** Engines accept `max_evaluations`
-and/or `max_seconds`.  When a budget runs out mid-search the engine raises
-`EvaluationBudgetExceeded`; `DeploymentAlgorithm.run` catches it and
-degrades to the best deployment fully evaluated so far, setting
-`extra["engine"]["truncated"]`.  Per-run counters (full evaluations, cache
-hits/misses, delta evaluations and fallbacks, elapsed vs budget) land in
-`AlgorithmResult.extra["engine"]`.
+**Budgets and graceful truncation.** Engines accept `max_evaluations`, a
+budget on charged (full + delta) evaluations.  When it runs out
+mid-search the engine raises `EvaluationBudgetExceeded`;
+`DeploymentAlgorithm.run` catches it and degrades to the best deployment
+fully evaluated so far, setting `extra["engine"]["truncated"]`.  The
+budget counts work, not time, so a truncated run stops at the same
+evaluation every time.  Per-run counters (full evaluations, cache
+hits/misses, delta evaluations and fallbacks, budget state) land in
+`AlgorithmResult.extra["engine"]`; they read no clock.
 
 **Portfolios.** `PortfolioRunner.run(model, factories)` executes a suite of
-algorithms, all sharing one cache: one after another on the calling thread
-by default, or concurrently in a thread pool when a per-algorithm
-`algorithm_timeout` is set, so a stuck member can be abandoned.  A member
-that raises `AlgorithmError`, crashes, or times out degrades to a `skipped` /
-`error` / `timeout` `PortfolioOutcome` instead of aborting the run; the
+algorithms one after another on the calling thread, all sharing one
+cache.  A member that raises `AlgorithmError` or crashes degrades to a
+`skipped` / `error` `PortfolioOutcome` instead of aborting the run; the
 `PortfolioReport` records every member's fate plus aggregate counters.
 `Analyzer.analyze` runs its selected algorithms this way (see
 `Decision.portfolio`), and `AlgorithmContainer.invoke_portfolio` exposes
