@@ -9,11 +9,13 @@ in the general case ... is O(k^n) ... By fixing a subset of m components to
 selected hosts, the complexity reduces to O(k^(n-m))."
 
 The implementation is a depth-first enumeration over component-to-host
-assignments.  Partial assignments that the constraint checker already rules
-out are pruned, which realizes the O(k^(n-m)) reduction for fixed components
-(a :func:`repro.core.constraints.fix_component` constraint leaves exactly one
-viable branch for that component) without giving up optimality: pruning only
-removes branches that cannot yield *valid* deployments.
+assignments, placed and undone on the run's constraint checker (compiled
+when every constraint type allows it).  Partial assignments that the
+checker already rules out are pruned, which realizes the O(k^(n-m))
+reduction for fixed components (a :func:`repro.core.constraints.fix_component`
+constraint leaves exactly one viable branch for that component) without
+giving up optimality: pruning only removes branches that cannot yield
+*valid* deployments.
 """
 
 from __future__ import annotations
@@ -59,17 +61,23 @@ class ExactAlgorithm(DeploymentAlgorithm):
                 f"{space:.3g} exceeds max_space={self.max_space:.3g}; "
                 "use an approximative algorithm for systems this large")
 
+        checker = self._checker(model)
+        checker.reset({})
+        host_indices = [checker.cm.host_index[h] for h in hosts]
+        component_indices = [checker.cm.component_index[c]
+                             for c in components]
         best_value = self.objective.worst_value()
         best: Optional[Dict[str, str]] = None
         visited_leaves = 0
         pruned_branches = 0
+        # Mirrors the checker's placements, for _evaluate.
         assignment: Dict[str, str] = {}
 
         def descend(index: int) -> None:
             nonlocal best_value, best, visited_leaves, pruned_branches
             if index == len(components):
                 visited_leaves += 1
-                if not self.constraints.is_satisfied(model, assignment):
+                if not checker.satisfied():
                     return
                 value = self._evaluate(model, assignment)
                 if best is None or self.objective.is_better(value, best_value):
@@ -77,14 +85,16 @@ class ExactAlgorithm(DeploymentAlgorithm):
                     best = dict(assignment)
                 return
             component = components[index]
-            for host in hosts:
-                if self.prune and not self.constraints.allows(
-                        model, assignment, component, host):
+            ci = component_indices[index]
+            for host, hi in zip(hosts, host_indices):
+                if self.prune and not checker.allows_index(ci, hi):
                     pruned_branches += 1
                     continue
+                token = checker.place_index(ci, hi)
                 assignment[component] = host
                 descend(index + 1)
                 del assignment[component]
+                checker.undo(token)
 
         descend(0)
         extra = {

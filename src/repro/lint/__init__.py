@@ -8,8 +8,7 @@ Two pillars behind one rule-engine core (:mod:`repro.lint.core`):
   search them or the effector migrates live components;
 * the **code analyzer** (:mod:`repro.lint.code`) — per-file AST rules
   enforcing this repository's locking, error-handling and registry
-  conventions, plus the dataflow-backed determinism pack
-  (:mod:`repro.lint.determinism` over :mod:`repro.lint.flow`).
+  conventions, plus the determinism pack (:mod:`repro.lint.determinism`).
 
 Entry points: ``python -m repro lint`` on the command line,
 :func:`verify_deployment` as the effector/batch pre-flight gate, and the

@@ -26,7 +26,6 @@ from typing import (
 )
 
 from repro.core.errors import ReproError
-from repro.lint import flow
 from repro.lint.cache import LintCache, file_digest
 from repro.lint.core import (
     Finding, LintReport, Rule, RuleRegistry, Severity,
@@ -42,6 +41,12 @@ _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore",
 _HANDLER_PREFIXES = ("handle", "on_", "_on_")
 _HANDLER_NAMES = {"handle", "notify", "notify_monitors"}
 
+#: Statements with a header and an indented body; a suppression spreads
+#: over the header only.
+COMPOUND_STATEMENTS = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With,
+                       ast.AsyncWith, ast.Try, ast.Match, ast.FunctionDef,
+                       ast.AsyncFunctionDef, ast.ClassDef)
+
 
 @dataclass
 class CodeLintContext:
@@ -54,19 +59,25 @@ class CodeLintContext:
     #: line number -> set of suppressed rule ids (empty set = all rules).
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
 
+    #: Every node of *tree* in ``ast.walk`` order, walked once and shared
+    #: by the rules.
+    nodes: Tuple[ast.AST, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = tuple(ast.walk(self.tree))
+
     @classmethod
     def parse(cls, source: str, path: str = "<string>") -> "CodeLintContext":
-        tree = ast.parse(source, filename=path)
-        suppressions: Dict[int, Set[str]] = {}
+        context = cls(path, source, ast.parse(source, filename=path))
         for number, text in enumerate(source.splitlines(), start=1):
             match = _IGNORE_RE.search(text)
             if match:
                 ids = match.group(1)
-                suppressions[number] = (
+                context.suppressions[number] = (
                     {part.strip() for part in ids.split(",")} if ids
                     else set())
-        _spread_over_statements(suppressions, tree)
-        return cls(path, source, tree, suppressions)
+        _spread_over_statements(context.suppressions, context.nodes)
+        return context
 
     def is_suppressed(self, finding: Finding) -> bool:
         ids = self.suppressions.get(finding.line or -1)
@@ -76,7 +87,7 @@ class CodeLintContext:
 
 
 def _spread_over_statements(suppressions: Dict[int, Set[str]],
-                            tree: ast.AST) -> None:
+                            nodes: Iterable[ast.AST]) -> None:
     """Extend per-line suppressions across multi-line statements.
 
     A rule reports the line of the node it flagged, but an ignore
@@ -88,12 +99,12 @@ def _spread_over_statements(suppressions: Dict[int, Set[str]],
     """
     if not suppressions:
         return
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.stmt):
             continue
         first = node.lineno
         last = node.end_lineno or first
-        if isinstance(node, flow.COMPOUND_STATEMENTS):
+        if isinstance(node, COMPOUND_STATEMENTS):
             bodies = [getattr(node, "body", None)]
             heads = [part[0].lineno for part in bodies if part]
             last = min([last] + [head - 1 for head in heads])
@@ -158,7 +169,7 @@ class UnlockedSharedMutationRule(CodeRule):
     tags = frozenset({"concurrency"})
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(context, node)
 
@@ -227,7 +238,7 @@ class BlockingCallInHandlerRule(CodeRule):
     tags = frozenset({"concurrency"})
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, (ast.FunctionDef,
@@ -286,7 +297,7 @@ class BypassedRegistryRule(CodeRule):
         # analyzer.py owns the analyzer's registry wiring; it is exempt.
         if os.path.basename(context.path) == "analyzer.py":
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in self._SHIMS:
@@ -306,7 +317,7 @@ class BareExceptRule(CodeRule):
     tags = frozenset({"errors"})
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             broad = node.type is None or (
@@ -334,7 +345,7 @@ class SwallowedExceptionRule(CodeRule):
     tags = frozenset({"errors"})
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.ExceptHandler) and \
                     len(node.body) == 1 and \
                     isinstance(node.body[0], ast.Pass):
@@ -352,7 +363,7 @@ class MutableDefaultRule(CodeRule):
     tags = frozenset({"api"})
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.Lambda)):
                 continue
@@ -378,7 +389,7 @@ class ExplicitAcquireRule(CodeRule):
     tags = frozenset({"concurrency"})
 
     def check(self, context: CodeLintContext) -> Iterable[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr == "acquire":
@@ -402,8 +413,7 @@ CODE_RULES: Tuple[Type[CodeRule], ...] = (
 def code_rule_registry() -> RuleRegistry:
     """A fresh registry holding the built-in code analyzer rules.
 
-    These are the AST rules (CD00x) and the dataflow-backed determinism
-    pack (DT00x).
+    These are the AST rules (CD00x) and the determinism pack (DT00x).
     """
     from repro.lint.determinism import DETERMINISM_RULES
     return RuleRegistry(cls() for cls in CODE_RULES + DETERMINISM_RULES)

@@ -5,13 +5,13 @@ The repository's contract is that every report is byte-identical for the
 same inputs and seed (serial vs ``workers=N`` sweeps, fault campaigns,
 observability captures are all pinned by tests).  Three failure modes
 keep breaking that contract in real systems, and all three are visible
-statically with the :mod:`repro.lint.flow` dataflow machinery:
+statically in one file's AST:
 
 * **DT001** — the process-global RNG (``random.random()``,
-  ``numpy.random.*``) or an *unseeded* generator
-  (``random.Random()`` / ``default_rng()`` with no arguments) is used:
-  results change run to run.  Reaching definitions track unseeded
-  generators from construction to their use sites.
+  ``numpy.random.*``) is used, or an *unseeded* generator is built
+  (``random.Random()`` / ``default_rng()`` with no seed or a literal
+  ``None`` seed): results change run to run.  Each such call is reported
+  where it is made, wherever its result is stored or used.
 * **DT002** — wall-clock time (``time.time``/``perf_counter``/
   ``monotonic``, ``datetime.now``…) is read inside a serialization
   method (``to_dict``/``to_json``/``render``/``summary_line``…): the
@@ -20,18 +20,21 @@ statically with the :mod:`repro.lint.flow` dataflow machinery:
   excludes — ``include_timing=False`` — is fine and not flagged.)
 * **DT003** — a ``set``'s iteration order escapes into rendered output:
   ``for x in some_set`` (or a comprehension / ``str.join``) inside a
-  serialization method without a ``sorted(...)`` wrapper.  Reaching
-  definitions resolve names back to set-typed assignments.
+  serialization method without a ``sorted(...)`` wrapper.  A name counts
+  as a set when every assignment to it in the function is a set
+  expression.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union,
+)
 
-from repro.lint import flow
 from repro.lint.core import Finding, Rule, Severity
-from repro.lint.flow import build_cfg, iter_functions
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Functions that produce the canonical, rendered form of an artifact.
 SERIALIZATION_NAMES = frozenset({
@@ -44,6 +47,9 @@ SERIALIZATION_NAMES = frozenset({
 _RANDOM_NON_CONSUMING = frozenset({
     "Random", "SystemRandom", "seed", "getstate", "setstate",
 })
+
+#: Generator constructors; a call is unseeded when it passes no seed.
+_GENERATOR_FACTORIES = frozenset({"random.Random", "Random", "default_rng"})
 
 _WALL_CLOCK_ATTRS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
@@ -73,8 +79,9 @@ def _is_global_rng_call(call: ast.Call) -> bool:
             parts[1] not in _RANDOM_NON_CONSUMING:
         return True
     # numpy.random.shuffle / np.random.rand / numpy.random.randint ...
+    # (default_rng builds a generator; DT001 checks its seed instead.)
     if len(parts) >= 3 and parts[-3] in ("numpy", "np") and \
-            parts[-2] == "random":
+            parts[-2] == "random" and parts[-1] != "default_rng":
         return True
     if len(parts) == 2 and parts[0] in ("numpy", "np") and \
             parts[1] == "random":  # np.random(...) misuse
@@ -83,15 +90,16 @@ def _is_global_rng_call(call: ast.Call) -> bool:
 
 
 def _is_unseeded_generator(call: ast.Call) -> bool:
-    """``random.Random()`` / ``numpy.random.default_rng()`` with no
-    seed argument."""
-    if call.args or call.keywords:
-        return False
+    """``random.Random()`` / ``numpy.random.default_rng()`` with no seed
+    argument, or with a literal ``None`` seed."""
     dotted = _dotted(call.func)
-    if dotted is None:
+    if dotted is None or not (dotted in _GENERATOR_FACTORIES or
+                              dotted.endswith("random.default_rng")):
         return False
-    return dotted in ("random.Random", "Random") or \
-        dotted.endswith("random.default_rng") or dotted == "default_rng"
+    seeds = call.args + [keyword.value for keyword in call.keywords]
+    return not seeds or (len(seeds) == 1 and
+                         isinstance(seeds[0], ast.Constant) and
+                         seeds[0].value is None)
 
 
 def _is_wall_clock_call(call: ast.Call) -> bool:
@@ -108,71 +116,11 @@ def _is_wall_clock_call(call: ast.Call) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# Taint tracking over the CFG (reaching definitions of flagged values)
-# ---------------------------------------------------------------------------
-
-def tainted_uses(function: flow.FunctionNode,
-                 is_source: Any) -> List[Tuple[str, int, int]]:
-    """Where values produced by *is_source* calls flow, per function.
-
-    Returns ``(name, def_line, use_line)`` triples: a variable assigned
-    from a source expression (or from another tainted variable) whose
-    value is *read* on ``use_line``.  Propagation runs on the function's
-    CFG via reaching definitions, so flows through branches, loops and
-    ``try`` blocks are followed; attribute/subscript stores are out of
-    scope (intraprocedural only).
-    """
-    cfg = build_cfg(function)
-    reaching = flow.ReachingDefinitions.at_statements(cfg)
-
-    # Pass 1: assignment lines whose value *directly* contains a source.
-    direct: Set[int] = set()
-    assigns: Dict[int, ast.stmt] = {}
-    for _, statement in cfg.statements():
-        if isinstance(statement, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            assigns.setdefault(statement.lineno, statement)
-            value = getattr(statement, "value", None)
-            if value is not None and any(
-                    isinstance(sub, ast.Call) and is_source(sub)
-                    for sub in ast.walk(value)):
-                direct.add(statement.lineno)
-
-    # Pass 2: fixpoint — a plain alias (``r2 = rng``) of a tainted name
-    # is tainted too.  Propagation stops at any other expression, so a
-    # value *derived* from the generator (``vals = [rng.random()]``)
-    # does not itself read as "an unseeded generator".
-    tainted_defs: Set[Tuple[str, int]] = {
-        (name, line) for line in direct
-        for name in flow.assigned_names(assigns[line])}
-    changed = True
-    while changed:
-        changed = False
-        for _, statement in cfg.statements():
-            if not (isinstance(statement, ast.Assign)
-                    and isinstance(statement.value, ast.Name)):
-                continue
-            source = statement.value.id
-            defs_here = reaching.get(id(statement), frozenset())
-            if any((name, line) in tainted_defs
-                   for name, line in defs_here if name == source):
-                for target in flow.assigned_names(statement):
-                    entry = (target, statement.lineno)
-                    if entry not in tainted_defs:
-                        tainted_defs.add(entry)
-                        changed = True
-
-    # Pass 3: report non-assignment reads of tainted definitions.
-    uses: List[Tuple[str, int, int]] = []
-    for _, statement in cfg.statements():
-        reads = flow.used_names(statement)
-        if not reads:
-            continue
-        defs_here = reaching.get(id(statement), frozenset())
-        for name, line in sorted(defs_here):
-            if name in reads and (name, line) in tainted_defs:
-                uses.append((name, line, statement.lineno))
-    return sorted(set(uses))
+def iter_functions(nodes: Iterable[ast.AST]) -> Iterator[FunctionNode]:
+    """The (possibly nested) function/method definitions among *nodes*."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -187,45 +135,39 @@ class UnseededRandomRule(Rule):
     rule_id = "DT001"
     severity = Severity.ERROR
     description = ("No process-global RNG (random.*, numpy.random.*) and "
-                   "no unseeded generators (random.Random() / "
-                   "default_rng() without a seed): results must be "
+                   "no unseeded generator construction (random.Random() / "
+                   "default_rng() with no seed or a None seed), wherever "
+                   "the generator is stored or used: results must be "
                    "reproducible from the run's seed.")
     tags = frozenset({"determinism"})
 
     def check(self, context: Any) -> Iterable[Finding]:
-        source_lines: List[int] = []
-        for node in ast.walk(context.tree):
+        # id of an assigned call -> the target it is bound to.
+        bound: Dict[int, ast.expr] = {}
+        for node in context.nodes:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    isinstance(node.value, ast.Call):
+                target = (node.targets[0] if isinstance(node, ast.Assign)
+                          else node.target)
+                bound[id(node.value)] = target
             if not isinstance(node, ast.Call):
                 continue
+            label = _dotted(node.func)
             if _is_global_rng_call(node):
-                label = _dotted(node.func)
                 yield self.finding(
                     f"{label}() draws from the process-global RNG; use "
                     "an explicitly seeded random.Random(seed)",
                     file=context.path, line=node.lineno,
                     col=node.col_offset)
-            if _is_unseeded_generator(node):
-                source_lines.append(node.lineno)
-        if not source_lines:
-            return  # no generator is constructed, so nothing is tainted
-        for function in iter_functions(context.tree):
-            # A function with no source call inside it has no taint: skip
-            # its CFG and dataflow.
-            if not any(function.lineno <= line <= function.end_lineno
-                       for line in source_lines):
-                continue
-            flows = tainted_uses(function, _is_unseeded_generator)
-            reported: Set[Tuple[str, int]] = set()
-            for name, def_line, use_line in flows:
-                if (name, def_line) in reported:
-                    continue
-                reported.add((name, def_line))
+            elif _is_unseeded_generator(node):
+                target = bound.get(id(node))
+                where = (f" bound to {ast.unparse(target)!r}"
+                         if target is not None else "")
                 yield self.finding(
-                    f"{name!r} is an unseeded generator (constructed "
-                    f"line {def_line}) used on line {use_line}; pass a "
-                    "seed so the stream is reproducible",
-                    file=context.path, line=def_line,
-                    flow=[def_line, use_line])
+                    f"{label}() builds an unseeded generator{where}; pass "
+                    "a seed so the stream is reproducible",
+                    file=context.path, line=node.lineno,
+                    col=node.col_offset)
 
 
 class WallClockInReportRule(Rule):
@@ -240,7 +182,7 @@ class WallClockInReportRule(Rule):
     tags = frozenset({"determinism"})
 
     def check(self, context: Any) -> Iterable[Finding]:
-        for function in iter_functions(context.tree):
+        for function in iter_functions(context.nodes):
             if function.name not in SERIALIZATION_NAMES:
                 continue
             for node in ast.walk(function):
@@ -281,14 +223,13 @@ class SetOrderEscapeRule(Rule):
     tags = frozenset({"determinism"})
 
     def check(self, context: Any) -> Iterable[Finding]:
-        for function in iter_functions(context.tree):
+        for function in iter_functions(context.nodes):
             if function.name not in SERIALIZATION_NAMES:
                 continue
             set_defs = self._set_definition_lines(function)
             for node in ast.walk(function):
                 for iterable, line in self._iterations(node):
-                    if self._is_set_valued(iterable, node, function,
-                                           set_defs):
+                    if self._is_set_valued(iterable, set_defs):
                         yield self.finding(
                             f"{function.name}() iterates a set on line "
                             f"{line}; its hash order escapes into the "
@@ -308,8 +249,8 @@ class SetOrderEscapeRule(Rule):
                 node.func.attr == "join" and node.args:
             yield node.args[0], node.lineno
 
-    def _is_set_valued(self, expr: ast.expr, at: ast.AST,
-                       function: flow.FunctionNode,
+    @staticmethod
+    def _is_set_valued(expr: ast.expr,
                        set_defs: Dict[str, Set[int]]) -> bool:
         if _is_set_expr(expr):
             return True
@@ -317,9 +258,9 @@ class SetOrderEscapeRule(Rule):
             return True
         return False
 
-    def _set_definition_lines(self, function: flow.FunctionNode
+    def _set_definition_lines(self, function: FunctionNode
                               ) -> Dict[str, Set[int]]:
-        """Names whose every reaching assignment is set-typed.
+        """Names whose every assignment in *function* is set-typed.
 
         Conservative in the right direction for a lint: a name counts
         only when *all* of its assignments in the function are set

@@ -8,6 +8,7 @@ from repro.core import (
 )
 from repro.core.constraints import LocationConstraint, fix_component
 from repro.core.errors import AlgorithmError, NoValidDeploymentError
+from repro.desi import Generator, GeneratorConfig
 
 
 class TestOptimality:
@@ -120,3 +121,38 @@ class TestResultMetadata:
             tiny_model, initial={"c1": "hA", "c2": "hA", "c3": "hA"})
         if set(result.deployment.values()) == {"hA"}:
             assert result.moves_from_initial == 0
+
+
+class _SubclassedMemoryConstraint(MemoryConstraint):
+    """Judges like MemoryConstraint but, by type, never compiles."""
+
+
+class TestConstraintChecker:
+    @staticmethod
+    def tight_model():
+        return Generator(GeneratorConfig(
+            hosts=4, components=8, host_memory=(20.0, 40.0),
+            memory_headroom=1.3), seed=42).generate()
+
+    def test_constraint_checks_counted(self, availability):
+        result = ExactAlgorithm(
+            availability, ConstraintSet([MemoryConstraint()])).run(
+                self.tight_model())
+        assert result.extra["engine"]["constraint_checks"] > 0
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_uncompilable_constraint_gives_same_result(self, availability,
+                                                       prune):
+        model = self.tight_model()
+        results = [
+            ExactAlgorithm(availability, ConstraintSet([constraint]),
+                           prune=prune).run(model)
+            for constraint in (MemoryConstraint(),
+                               _SubclassedMemoryConstraint())]
+        compiled, uncompiled = results
+        assert compiled.extra["pruned_branches"] > 0 or not prune
+        assert dict(compiled.deployment) == dict(uncompiled.deployment)
+        assert compiled.value == uncompiled.value
+        assert compiled.evaluations == uncompiled.evaluations
+        for key in ("visited_leaves", "pruned_branches"):
+            assert compiled.extra[key] == uncompiled.extra[key]

@@ -71,6 +71,43 @@ class TestUnlockedSharedMutation:
                     self.count += 1
         """))
 
+    def test_public_unguarded_write_flagged(self):
+        report = run("""
+            import threading
+
+            class Counter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.total = 0
+
+                def add(self, n):
+                    with self._lock:
+                        self.total += n
+
+                def reset(self):
+                    self.total = 0
+        """)
+        findings = [f for f in report if f.rule == "CD001"]
+        assert any("reset" in f.message for f in findings)
+        assert not any("Counter.add" in f.message for f in findings)
+
+    def test_private_helper_called_under_lock_is_clean(self):
+        assert "CD001" not in rules_found(run("""
+            import threading
+
+            class Counter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.total = 0
+
+                def add(self, n):
+                    with self._lock:
+                        self._bump(n)
+
+                def _bump(self, n):
+                    self.total += n
+        """))
+
 
 class TestBlockingCallInHandler:
     def test_sleep_in_handler_flagged(self):

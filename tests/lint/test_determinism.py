@@ -65,7 +65,7 @@ class TestUnseededRandom:
                 shared = rng
                 return shared.random()
         """)
-        assert any("shared" in f.message for f in findings)
+        assert [(f.rule, f.line) for f in findings] == [("DT001", 5)]
 
     def test_flow_through_branch_tracked(self):
         findings = run_rule(UnseededRandomRule, """
@@ -96,6 +96,64 @@ class TestUnseededRandom:
 
             def setup(seed):
                 random.seed(seed)
+        """)
+        assert not findings
+
+    def test_unseeded_generator_on_attribute_flagged(self):
+        findings = run_rule(UnseededRandomRule, """
+            import random
+
+            class Shuffler:
+                def __init__(self):
+                    self.rng = random.Random()
+        """)
+        assert [(f.rule, f.line, f.col) for f in findings] == \
+            [("DT001", 6, 19)]
+        assert "'self.rng'" in findings[0].message
+
+    def test_unseeded_generator_used_inline_flagged(self):
+        findings = run_rule(UnseededRandomRule, """
+            import random
+
+            def shuffle(xs):
+                random.Random().shuffle(xs)
+        """)
+        assert [(f.rule, f.line) for f in findings] == [("DT001", 5)]
+        assert "unseeded generator" in findings[0].message
+
+    def test_unseeded_numpy_generator_argument_flagged(self):
+        findings = run_rule(UnseededRandomRule, """
+            import numpy
+
+            def sample(f):
+                return f(numpy.random.default_rng())
+        """)
+        assert [(f.rule, f.line) for f in findings] == [("DT001", 5)]
+        assert "numpy.random.default_rng() builds an unseeded generator" \
+            in findings[0].message
+
+    def test_none_seed_flagged(self):
+        findings = run_rule(UnseededRandomRule, """
+            import random
+            from numpy.random import default_rng
+
+            def build():
+                return random.Random(None), default_rng(seed=None)
+        """)
+        assert [(f.rule, f.line) for f in findings] == \
+            [("DT001", 6), ("DT001", 6)]
+
+    def test_seeded_constructions_clean(self):
+        findings = run_rule(UnseededRandomRule, """
+            import random
+            from random import Random
+
+            import numpy as np
+
+            def build(seed, s):
+                random.seed(s)
+                return (Random(seed), Random(0), random.Random(seed=seed),
+                        np.random.default_rng(seed))
         """)
         assert not findings
 

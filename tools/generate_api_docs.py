@@ -19,8 +19,7 @@ MODULES = [
     "repro.plan.schedule", "repro.plan.planner",
     "repro.lint.core", "repro.lint.model_rules", "repro.lint.xadl_rules",
     "repro.lint.fault_rules", "repro.lint.plan_rules",
-    "repro.lint.code", "repro.lint.flow",
-    "repro.lint.determinism", "repro.lint.cache", "repro.lint.sarif",
+    "repro.lint.code", "repro.lint.determinism", "repro.lint.cache", "repro.lint.sarif",
     "repro.algorithms.base", "repro.algorithms.engine",
     "repro.algorithms.compiled", "repro.algorithms.search",
     "repro.algorithms.exact",
@@ -99,19 +98,16 @@ rules, and the `deployment`-tagged subset gates `Effector.effect` and
 See `docs/STATIC_ANALYSIS.md` for the rule catalog, severities,
 suppression syntax, and how to write custom rules.
 """,
-    "repro.lint.flow": """\
-## Dataflow analysis framework (`repro.lint.flow` and the rule packs)
+    "repro.lint.determinism": """\
+## Determinism pack and lint plumbing
 
-Whole-function reasoning under the code analyzer: per-function CFG
-construction (branches, loops, `try/except/finally` with exception
-edges, `with`, `match`), a generic forward worklist dataflow solver,
-and a reaching-definitions instance.  On top of it sits the
-**determinism pack** (`repro.lint.determinism` — DT001 unseeded
-randomness via taint tracking, DT002 wall clocks in serialization,
-DT003 set iteration order escaping into rendered output), plus the
-production plumbing: a content-hash result cache with baseline
-suppression files (`repro.lint.cache`) and a SARIF 2.1.0 reporter
-(`repro.lint.sarif`).
+The **determinism pack** (`repro.lint.determinism`) runs with the code
+analyzer's rules, one file at a time: DT001 reports every use of the
+process-global RNG and every unseeded generator construction at its call
+site, DT002 wall clocks read in serialization methods, and DT003 set
+iteration order escaping into rendered output.  The production plumbing
+follows: a content-hash result cache with baseline suppression files
+(`repro.lint.cache`) and a SARIF 2.1.0 reporter (`repro.lint.sarif`).
 """,
     "repro.algorithms.engine": """\
 ## Evaluation engine & algorithm portfolio
