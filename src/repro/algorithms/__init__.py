@@ -14,7 +14,7 @@ Evaluation plumbing: :class:`EvaluationEngine` (memoized + incremental
 objective evaluation with budgets) and :class:`PortfolioRunner` (execution
 of an algorithm portfolio over one shared memo) in
 :mod:`repro.algorithms.engine`;
-:class:`CompiledModel`/:class:`CompiledDeployment` and the per-objective
+:class:`CompiledModel` and the per-objective
 evaluation kernels in :mod:`repro.algorithms.compiled`.
 """
 
@@ -26,8 +26,7 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.bip import BIPAlgorithm
 from repro.algorithms.compiled import (
-    CompiledDeployment, CompiledModel, Kernel, compile_kernel, compiled_model,
-    register_kernel,
+    CompiledModel, Kernel, compile_kernel, compiled_model, register_kernel,
 )
 from repro.algorithms.decap import (
     AwarenessMap, DecApAlgorithm, connectivity_awareness,
@@ -53,7 +52,6 @@ __all__ = [
     "AvalaAlgorithm",
     "BIPAlgorithm",
     "CompiledConstraintChecker",
-    "CompiledDeployment",
     "CompiledModel",
     "DecApAlgorithm",
     "DeploymentAlgorithm",

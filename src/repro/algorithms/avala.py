@@ -143,7 +143,7 @@ class AvalaAlgorithm(DeploymentAlgorithm):
         unassigned = set(model.component_ids)
         assignment: Dict[str, str] = {}
         checker = self._checker(model)
-        checker.reset({})
+        checker.reset(())
         placements_considered = 0
 
         for host in host_order:

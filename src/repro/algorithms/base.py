@@ -87,8 +87,9 @@ class DeploymentAlgorithm(ABC):
     """Base class for all (re)deployment algorithms.
 
     Subclasses implement :meth:`_search` and report the deployments they
-    score through :meth:`_evaluate` so evaluation counting and timing are
-    uniform.  The public entry point is :meth:`run`.
+    score through :meth:`_evaluate` (:meth:`_evaluate_encoded` for a
+    host-index list) so evaluation counting and timing are uniform.  The
+    public entry point is :meth:`run`.
     """
 
     #: Short name used in analyzer logs, DeSi result tables, and benches.
@@ -190,6 +191,12 @@ class DeploymentAlgorithm(ABC):
         self._evaluations += 1
         return self._engine.evaluate(model, deployment)
 
+    def _evaluate_encoded(self, model: DeploymentModel,
+                          assignment: Sequence[int]) -> float:
+        """:meth:`_evaluate` for a compiled host-index assignment."""
+        self._evaluations += 1
+        return self._engine.evaluate_encoded(model, assignment)
+
     def _count_evaluation(self, n: int = 1) -> None:
         """Record *n* incremental (delta-based) evaluations."""
         self._evaluations += n
@@ -238,7 +245,7 @@ def random_valid_deployment(model: DeploymentModel,
         rng.shuffle(components)
         assignment: Dict[str, str] = {}
         if checker is not None:
-            checker.reset({})
+            checker.reset(())
         feasible = True
         for component in components:
             placed = False
@@ -278,18 +285,21 @@ def greedy_fill_deployment(checker: Any, hosts: Sequence[int],
     :func:`repro.algorithms.search.make_checker`): *hosts* and *components*
     are host and component indices, and the result is the host index of
     every component (``checker.cm.decode`` turns it into a mapping), or
-    None when some component fits nowhere.  The checker is reset first and
-    left holding the fill.
+    None when some component fits nowhere.  The checker is reset to empty
+    first and left holding the fill; every probe is counted in
+    ``constraint_checks``, once per fill.
     """
-    checker.reset({})
-    allows = checker.allows_index
+    checker.reset(())
+    probe = checker.probe_index
     place = checker.place_index
     assignment = [UNDEPLOYED] * checker.cm.n_components
     remaining = list(components)
+    probes = 0
     for hi in hosts:
+        probes += len(remaining)
         still_remaining = []
         for ci in remaining:
-            if allows(ci, hi):
+            if probe(ci, hi):
                 assignment[ci] = hi
                 place(ci, hi)
             else:
@@ -297,4 +307,5 @@ def greedy_fill_deployment(checker: Any, hosts: Sequence[int],
         remaining = still_remaining
         if not remaining:
             break
+    checker.stats.constraint_checks += probes
     return None if remaining else assignment

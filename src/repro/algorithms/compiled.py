@@ -18,9 +18,9 @@ at machine speed:
   per-component memory/CPU vectors.  Snapshots are cached per model and
   invalidated through the model's listener events, so monitors writing
   fresh observations trigger recompilation on next use.
-* :class:`CompiledDeployment` — a deployment as an array of host indices
-  with an incrementally-maintained Zobrist hash (a move is an O(1) hash
-  update instead of rehashing the whole mapping).
+* A deployment in this view is a list of host indices, one per component
+  (:meth:`CompiledModel.encode` / :meth:`CompiledModel.decode`); the
+  evaluation engine memoizes scores on its tuple.
 * One kernel per built-in objective (:func:`compile_kernel`), each
   replicating the object path's arithmetic *in the same order* so kernel
   values are bit-identical to ``Objective.evaluate`` — the evaluation
@@ -37,14 +37,13 @@ opts a new objective into the fast path.
 
 from __future__ import annotations
 
-import random
 import threading
 import weakref
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type,
 )
 
-from repro.core.model import DEPLOYMENT_CHANGED, Deployment, DeploymentModel
+from repro.core.model import DEPLOYMENT_CHANGED, DeploymentModel
 from repro.core.objectives import (
     MAXIMIZE, UNREACHABLE_COST, AvailabilityObjective,
     CommunicationCostObjective, DurabilityObjective, LatencyObjective,
@@ -81,7 +80,6 @@ class CompiledModel:
         "reliability", "bandwidth", "delay", "security", "link_up",
         "component_memory", "component_cpu",
         "host_memory", "host_cpu", "host_battery",
-        "_zobrist",
     )
 
     def __init__(self, model: DeploymentModel, generation: int = 0):
@@ -176,14 +174,6 @@ class CompiledModel:
         self.host_cpu = [h.cpu for h in model.hosts]
         self.host_battery = [h.params.get("battery") for h in model.hosts]
 
-        # Zobrist table for incremental deployment hashing; seeded from the
-        # model shape so hashes are stable across processes and sessions.
-        rng = random.Random(0xC0DE ^ (self.n_components << 16) ^ self.n_hosts)
-        self._zobrist = [
-            [rng.getrandbits(64) for _ in range(self.n_hosts)]
-            for _ in range(self.n_components)
-        ]
-
     # ------------------------------------------------------------------
     def encode(self, deployment: Mapping[str, str]) -> Optional[List[int]]:
         """Deployment mapping → per-component host-index array.
@@ -225,85 +215,10 @@ class CompiledModel:
         return (self.adj_indptr[component_index + 1]
                 - self.adj_indptr[component_index])
 
-    def zobrist_hash(self, assignment: Sequence[int]) -> int:
-        value = 0
-        for component_index, host_idx in enumerate(assignment):
-            if host_idx != UNDEPLOYED:
-                value ^= self._zobrist[component_index][host_idx]
-        return value
-
     def __repr__(self) -> str:
         return (f"CompiledModel({self.name!r}, gen={self.generation}, "
                 f"hosts={self.n_hosts}, components={self.n_components}, "
                 f"edges={len(self.edge_a)})")
-
-
-class CompiledDeployment:
-    """A deployment as a host-index array with an incremental hash.
-
-    ``moved`` produces a sibling whose hash is updated with two XORs
-    against the snapshot's Zobrist table instead of rehashing all
-    components — the hash maintenance local search needs when it keeps
-    thousands of candidate placements in memo sets.
-    """
-
-    __slots__ = ("compiled", "assignment", "_hash")
-
-    def __init__(self, compiled: CompiledModel,
-                 assignment: Sequence[int],
-                 _hash: Optional[int] = None):
-        self.compiled = compiled
-        self.assignment: Tuple[int, ...] = tuple(assignment)
-        if len(self.assignment) != compiled.n_components:
-            raise ValueError(
-                f"assignment length {len(self.assignment)} != "
-                f"{compiled.n_components} components")
-        self._hash = (compiled.zobrist_hash(self.assignment)
-                      if _hash is None else _hash)
-
-    @classmethod
-    def from_mapping(cls, compiled: CompiledModel,
-                     deployment: Mapping[str, str]) -> "CompiledDeployment":
-        assignment = compiled.encode(deployment)
-        if assignment is None:
-            raise KeyError(
-                "deployment references hosts unknown to the compiled model")
-        return cls(compiled, assignment)
-
-    def moved(self, component_index: int,
-              host_index: int) -> "CompiledDeployment":
-        """Sibling with one component reassigned; O(1) hash update."""
-        old = self.assignment[component_index]
-        if old == host_index:
-            return self
-        table = self.compiled._zobrist[component_index]
-        value = self._hash
-        if old != UNDEPLOYED:
-            value ^= table[old]
-        if host_index != UNDEPLOYED:
-            value ^= table[host_index]
-        assignment = list(self.assignment)
-        assignment[component_index] = host_index
-        return CompiledDeployment(self.compiled, assignment, _hash=value)
-
-    def to_deployment(self) -> Deployment:
-        return Deployment(self.compiled.decode(self.assignment))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CompiledDeployment):
-            return (self.assignment == other.assignment
-                    and self.compiled is other.compiled)
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def __repr__(self) -> str:
-        return (f"CompiledDeployment({len(self.assignment)} components, "
-                f"hash={self._hash:#x})")
 
 
 # ---------------------------------------------------------------------------

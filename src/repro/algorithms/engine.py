@@ -5,11 +5,18 @@ Two hot-path observations drive this module:
 * The analyzer runs *several* redeployment algorithms per improvement cycle
   (Section 4.3) against the same model, and those algorithms keep re-scoring
   the same deployments — the initial deployment, elite genetic individuals,
-  revisited local-search states.  :class:`EvaluationEngine` memoizes
-  ``Objective.evaluate`` on the hashable
-  :class:`~repro.core.model.Deployment` and routes single-component moves
-  through an O(degree) delta (the compiled kernel's, or the objective's own
-  ``move_delta``) whenever the objective declares ``supports_delta``.
+  revisited local-search states.  :class:`EvaluationEngine` scores
+  *encoded* deployments — the per-component host-index list of the
+  model's :class:`~repro.algorithms.compiled.CompiledModel` — and memoizes
+  each value on ``(objective, tuple(assignment))``.  Algorithms that
+  already hold that list (Stochastic's fills, Exact's leaves, Genetic's
+  individuals) call :meth:`EvaluationEngine.evaluate_encoded`;
+  :meth:`EvaluationEngine.evaluate` encodes a mapping and delegates, so
+  both share one memo.  Misses go to the objective's compiled kernel, or
+  to ``Objective.evaluate`` when it has none.  Single-component moves are
+  routed through an O(degree) delta (the compiled kernel's, or the
+  objective's own ``move_delta``) whenever the objective declares
+  ``supports_delta``.
 
 * One failing algorithm must not abort the monitor→analyze→effect loop.
   :class:`PortfolioRunner` executes a portfolio of algorithms one after
@@ -30,7 +37,9 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.algorithms.compiled import (
     CompiledModel, Kernel, compile_kernel, compiled_model,
@@ -45,7 +54,11 @@ AlgorithmFactory = Callable[[], "Any"]
 
 
 class DeploymentCache:
-    """Thread-safe memo of objective values, keyed on (objective, deployment).
+    """Thread-safe memo of objective values, keyed on (objective, key).
+
+    The key is a deployment's encoded host-index tuple (see
+    :meth:`EvaluationEngine.evaluate_encoded`), or the
+    :class:`~repro.core.model.Deployment` of a mapping that does not encode.
 
     The cache binds to one model at a time and registers itself as a model
     listener: any topology or parameter change — in particular monitors
@@ -66,7 +79,7 @@ class DeploymentCache:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._lock = threading.RLock()
-        self._values: Dict[Tuple[int, Deployment], float] = {}
+        self._values: Dict[Tuple[int, Hashable], float] = {}
         # Strong refs to keyed objectives so id() keys cannot be recycled.
         self._objectives: Dict[int, Objective] = {}
         self._model_ref: Optional[weakref.ref] = None
@@ -104,19 +117,18 @@ class DeploymentCache:
         self.invalidations += 1
 
     # -- memo ---------------------------------------------------------------
-    def lookup(self, objective: Objective,
-               deployment: Deployment) -> Optional[float]:
+    def lookup(self, objective: Objective, key: Hashable) -> Optional[float]:
         with self._lock:
-            return self._values.get((id(objective), deployment))
+            return self._values.get((id(objective), key))
 
-    def store(self, objective: Objective, deployment: Deployment,
+    def store(self, objective: Objective, key: Hashable,
               value: float) -> None:
         with self._lock:
             if len(self._values) >= self.max_entries:
                 # Wholesale drop: cheap, and correct for a memo cache.
                 self._values.clear()
                 self._objectives.clear()
-            self._values[(id(objective), deployment)] = value
+            self._values[(id(objective), key)] = value
             self._objectives[id(objective)] = objective
 
     def __len__(self) -> int:
@@ -189,7 +201,8 @@ class EvaluationEngine:
         self.cache = cache if cache is not None else DeploymentCache()
         self.max_evaluations = max_evaluations
         self.stats = EvaluationStats()
-        self._best: Optional[Tuple[Deployment, float]] = None
+        # (memo key, value, snapshot that decodes an encoded key).
+        self._best: Optional[Tuple[Hashable, float, CompiledModel]] = None
         # (model weakref, CompiledModel the kernel was built against,
         #  kernel or None): one kernel per model generation per engine, so
         # stateful kernels are never shared between portfolio members.
@@ -211,62 +224,93 @@ class EvaluationEngine:
                 f"{self.max_evaluations} exhausted")
 
     # -- compiled-kernel routing --------------------------------------------
-    def _kernel_for(self, model: DeploymentModel) -> Optional[Kernel]:
-        """The engine's kernel for *model*'s current generation, or None.
+    def _compiled_for(self, model: DeploymentModel,
+                      ) -> Tuple[CompiledModel, Optional[Kernel]]:
+        """*model*'s current snapshot and the engine's kernel for it.
 
         Compiles at most once per (engine, model generation): the model
         snapshot itself is shared process-wide through
         :func:`~repro.algorithms.compiled.compiled_model`, while the kernel
         (which may hold per-base accumulator state) stays private to this
-        engine.  Returns None when the objective has no registered kernel
-        — callers then use the object path.
+        engine.  The kernel is None when the objective has no registered
+        kernel — callers then use the object path.
 
         A snapshot that is not ``stale`` is still the model's current one
         (``compiled_model`` replaces only stale snapshots), so the cached
-        kernel is returned without taking the snapshot cache's lock.
+        pair is returned without taking the snapshot cache's lock.
         """
         cached = self._kernel_state
         if cached is not None and not cached[1].stale \
                 and cached[0]() is model:
-            return cached[2]
+            return cached[1], cached[2]
         snapshot = compiled_model(model)
         kernel = compile_kernel(self.objective, snapshot)
         self._kernel_state = (weakref.ref(model), snapshot, kernel)
-        return kernel
+        return snapshot, kernel
 
     # -- evaluation ---------------------------------------------------------
+    def evaluate_encoded(self, model: DeploymentModel,
+                         assignment: Sequence[int]) -> float:
+        """Memoized objective value of an encoded deployment.
+
+        *assignment* is the host index of every component of the model's
+        :class:`~repro.algorithms.compiled.CompiledModel` (``UNDEPLOYED``
+        for a component left out).  Cache hits are free; misses are
+        charged against the budget and served by the objective's compiled
+        kernel, or by ``Objective.evaluate`` on the decoded mapping when
+        the objective has none.
+        """
+        return self._score(model, tuple(assignment), None, True)
+
     def evaluate(self, model: DeploymentModel,
                  deployment: Mapping[str, str], *,
                  charge: bool = True) -> float:
-        """Memoized ``objective.evaluate`` keyed on the deployment.
+        """:meth:`evaluate_encoded` for a deployment mapping.
 
-        Cache hits are free; misses are charged against the budget (unless
-        ``charge`` is False, used for final result scoring) and served by
-        the objective's compiled kernel when one exists.
+        The mapping is encoded, so it shares memo entries with its encoded
+        form.  Only a mapping that names a host unknown to the model's
+        snapshot keeps a :class:`~repro.core.model.Deployment` key and is
+        scored by ``Objective.evaluate``.
+        """
+        encoded = self._compiled_for(model)[0].encode(deployment)
+        if encoded is None:
+            key: Hashable = (deployment if isinstance(deployment, Deployment)
+                             else Deployment(deployment))
+        else:
+            key = tuple(encoded)
+        return self._score(model, key, deployment, charge)
+
+    def _score(self, model: DeploymentModel, key: Hashable,
+               deployment: Optional[Mapping[str, str]],
+               charge: bool) -> float:
+        """Memo lookup, then kernel or object-path scoring on a miss.
+
+        *key* is an encoded tuple or, for an unencodable mapping, its
+        ``Deployment``; a custom objective is handed *deployment* when the
+        caller has one, else the decoded key.
         """
         self.cache.bind(model)
-        key = (deployment if isinstance(deployment, Deployment)
-               else Deployment(deployment))
         cached = self.cache.lookup(self.objective, key)
         if cached is not None:
             self.stats.cache_hits += 1
-            self._track_best(key, cached)
+            self._track_best(model, key, cached)
             return cached
         if charge:
             self._charge()
         self.stats.cache_misses += 1
         self.stats.full_evaluations += 1
-        value: Optional[float] = None
-        kernel = self._kernel_for(model)
-        if kernel is not None:
-            assignment = kernel.cm.encode(key)
-            if assignment is not None:
-                value = kernel.evaluate(assignment)
-                self.stats.kernel_evaluations += 1
-        if value is None:
+        compiled, kernel = self._compiled_for(model)
+        if isinstance(key, Deployment):
             value = self.objective.evaluate(model, key)
+        elif kernel is not None:
+            value = kernel.evaluate(key)
+            self.stats.kernel_evaluations += 1
+        else:
+            value = self.objective.evaluate(
+                model, compiled.decode(key) if deployment is None
+                else deployment)
         self.cache.store(self.objective, key, value)
-        self._track_best(key, value)
+        self._track_best(model, key, value)
         return value
 
     def move_delta(self, model: DeploymentModel,
@@ -282,7 +326,7 @@ class EvaluationEngine:
         if getattr(self.objective, "supports_delta", False):
             self._charge()
             self.stats.delta_evaluations += 1
-            kernel = self._kernel_for(model)
+            kernel = self._compiled_for(model)[1]
             if kernel is not None and kernel.supports_delta:
                 compiled = kernel.cm
                 component_index = compiled.component_index.get(component)
@@ -316,7 +360,7 @@ class EvaluationEngine:
         if getattr(self.objective, "supports_delta", False):
             self._charge()
             self.stats.delta_evaluations += 1
-            kernel = self._kernel_for(model)
+            kernel = self._compiled_for(model)[1]
             if kernel is not None and kernel.supports_delta:
                 self.stats.kernel_deltas += 1
                 return kernel.move_delta(assignment, component_index,
@@ -334,14 +378,20 @@ class EvaluationEngine:
         return self.evaluate(model, moved) - base
 
     # -- best-so-far (graceful truncation) ----------------------------------
-    def _track_best(self, deployment: Deployment, value: float) -> None:
+    def _track_best(self, model: DeploymentModel, key: Hashable,
+                    value: float) -> None:
         if self._best is None or self.objective.is_better(value,
                                                           self._best[1]):
-            self._best = (deployment, value)
+            self._best = (key, value, self._compiled_for(model)[0])
 
     def best_seen(self) -> Optional[Tuple[Deployment, float]]:
         """Best fully-evaluated deployment of this run (for truncation)."""
-        return self._best
+        if self._best is None:
+            return None
+        key, value, compiled = self._best
+        if not isinstance(key, Deployment):
+            key = Deployment(compiled.decode(key))
+        return key, value
 
     # -- reporting ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -20,9 +20,10 @@ giving up optimality: pruning only removes branches that cannot yield
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.compiled import UNDEPLOYED
 from repro.core.errors import AlgorithmError
 from repro.core.model import DeploymentModel
 
@@ -62,38 +63,33 @@ class ExactAlgorithm(DeploymentAlgorithm):
                 "use an approximative algorithm for systems this large")
 
         checker = self._checker(model)
-        checker.reset({})
-        host_indices = [checker.cm.host_index[h] for h in hosts]
-        component_indices = [checker.cm.component_index[c]
-                             for c in components]
+        checker.reset(())
+        cm = checker.cm
         best_value = self.objective.worst_value()
-        best: Optional[Dict[str, str]] = None
+        best: Optional[List[int]] = None
         visited_leaves = 0
         pruned_branches = 0
-        # Mirrors the checker's placements, for _evaluate.
-        assignment: Dict[str, str] = {}
+        # Mirrors the checker's placements as host indices, for scoring.
+        assignment = [UNDEPLOYED] * cm.n_components
 
-        def descend(index: int) -> None:
+        def descend(ci: int) -> None:
             nonlocal best_value, best, visited_leaves, pruned_branches
-            if index == len(components):
+            if ci == cm.n_components:
                 visited_leaves += 1
                 if not checker.satisfied():
                     return
-                value = self._evaluate(model, assignment)
+                value = self._evaluate_encoded(model, assignment)
                 if best is None or self.objective.is_better(value, best_value):
                     best_value = value
-                    best = dict(assignment)
+                    best = list(assignment)
                 return
-            component = components[index]
-            ci = component_indices[index]
-            for host, hi in zip(hosts, host_indices):
+            for hi in range(cm.n_hosts):
                 if self.prune and not checker.allows_index(ci, hi):
                     pruned_branches += 1
                     continue
                 token = checker.place_index(ci, hi)
-                assignment[component] = host
-                descend(index + 1)
-                del assignment[component]
+                assignment[ci] = hi
+                descend(ci + 1)
                 checker.undo(token)
 
         descend(0)
@@ -103,4 +99,4 @@ class ExactAlgorithm(DeploymentAlgorithm):
             "pruned_branches": pruned_branches,
             "optimal": best is not None,
         }
-        return best, extra
+        return (None if best is None else cm.decode(best)), extra

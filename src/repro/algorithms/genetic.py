@@ -44,19 +44,19 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         self.elite = elite
 
     # -- fitness -------------------------------------------------------------
-    def _fitness(self, model: DeploymentModel,
-                 individual: Dict[str, str],
-                 checker: Optional[Any] = None) -> Tuple[int, float]:
+    def _fitness(self, model: DeploymentModel, individual: Dict[str, str],
+                 checker: Any) -> Tuple[int, float]:
         """(feasibility rank, direction-adjusted value); higher is fitter.
 
         Feasible individuals rank above all infeasible ones; among
-        infeasible ones, fewer violations is fitter.
+        infeasible ones, fewer violations is fitter.  The individual is
+        encoded once: the checker is rebound from, and the engine scores,
+        the same host-index list.
         """
-        if checker is not None:
-            violations = checker.violation_count(individual)
-        else:
-            violations = len(self.constraints.violations(model, individual))
-        value = self._evaluate(model, individual)
+        assignment = checker.cm.encode(individual)
+        checker.reset(assignment)
+        violations = checker.violation_count()
+        value = self._evaluate_encoded(model, assignment)
         adjusted = value if self.objective.direction == "max" else -value
         return (-violations, adjusted)
 

@@ -39,7 +39,9 @@ rules and the measured speedups (``BENCH_search.json``).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.algorithms.compiled import UNDEPLOYED, CompiledModel, compiled_model
 from repro.algorithms.engine import EvaluationEngine, EvaluationStats
@@ -77,8 +79,11 @@ class ObjectConstraintChecker:
         self.cm = cm if cm is not None else compiled_model(model)
         self.partial: Dict[str, str] = {}
 
-    def reset(self, mapping: Mapping[str, str]) -> None:
-        self.partial = dict(mapping)
+    def reset(self, assignment: Union[Mapping[str, str], Sequence[int]],
+              ) -> None:
+        """Rebind to a mapping or a host-index assignment."""
+        self.partial = (dict(assignment) if isinstance(assignment, Mapping)
+                        else self.cm.decode(assignment))
 
     # -- id lane ---------------------------------------------------------
     def allows(self, component: str, host: str) -> bool:
@@ -109,15 +114,20 @@ class ObjectConstraintChecker:
         self.stats.constraint_checks += 1
         return self.constraints.is_satisfied_partial(self.model, self.partial)
 
-    def violation_count(self, mapping: Optional[Mapping[str, str]] = None,
-                        ) -> int:
+    def violation_count(self) -> int:
         self.stats.constraint_checks += 1
-        target = self.partial if mapping is None else mapping
-        return len(self.constraints.violations(self.model, target))
+        return len(self.constraints.violations(self.model, self.partial))
 
     # -- index lane ------------------------------------------------------
     def allows_index(self, ci: int, hi: int) -> bool:
-        return self.allows(self.cm.component_ids[ci], self.cm.host_ids[hi])
+        self.stats.constraint_checks += 1
+        return self.probe_index(ci, hi)
+
+    def probe_index(self, ci: int, hi: int) -> bool:
+        """:meth:`allows_index` without counting; the caller counts."""
+        return self.constraints.allows(self.model, self.partial,
+                                       self.cm.component_ids[ci],
+                                       self.cm.host_ids[hi])
 
     def place_index(self, ci: int, hi: int):
         host = None if hi == UNDEPLOYED else self.cm.host_ids[hi]
@@ -134,9 +144,15 @@ class CompiledConstraintChecker:
         self.cm = cm
         self.ccs = compiled_set
         self.stats = stats if stats is not None else EvaluationStats()
+        # The index lane's uncounted probe (the caller counts) and its
+        # placement, bound straight to the compiled set.
+        self.probe_index = compiled_set.allows
+        self.place_index = compiled_set.place
 
-    def reset(self, mapping: Mapping[str, str]) -> None:
-        self.ccs.bind(mapping)
+    def reset(self, assignment: Union[Mapping[str, str], Sequence[int]],
+              ) -> None:
+        """Rebind to a mapping or a host-index assignment."""
+        self.ccs.bind(assignment)
 
     # -- id lane ---------------------------------------------------------
     def allows(self, component: str, host: str) -> bool:
@@ -159,21 +175,14 @@ class CompiledConstraintChecker:
         self.stats.constraint_checks += 1
         return self.ccs.satisfied_partial()
 
-    def violation_count(self, mapping: Optional[Mapping[str, str]] = None,
-                        ) -> int:
-        """Violation count; passing *mapping* rebinds the checker to it."""
+    def violation_count(self) -> int:
         self.stats.constraint_checks += 1
-        if mapping is not None:
-            self.ccs.bind(mapping)
         return self.ccs.violation_count()
 
     # -- index lane ------------------------------------------------------
     def allows_index(self, ci: int, hi: int) -> bool:
         self.stats.constraint_checks += 1
         return self.ccs.allows(ci, hi)
-
-    def place_index(self, ci: int, hi: int):
-        return self.ccs.place(ci, hi)
 
 
 def make_checker(model: DeploymentModel, constraints: ConstraintSet,

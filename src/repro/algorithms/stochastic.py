@@ -12,7 +12,7 @@ times, and the best obtained deployment is selected."
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.algorithms.base import DeploymentAlgorithm, greedy_fill_deployment
 from repro.core.model import DeploymentModel
@@ -37,7 +37,7 @@ class StochasticAlgorithm(DeploymentAlgorithm):
 
     def _search(self, model: DeploymentModel, initial: Dict[str, str],
                 ) -> Tuple[Optional[Mapping[str, str]], Dict[str, Any]]:
-        best: Optional[Dict[str, str]] = None
+        best: Optional[List[int]] = None
         best_value = self.objective.worst_value()
         feasible_iterations = 0
         checker = self._checker(model)
@@ -56,13 +56,12 @@ class StochasticAlgorithm(DeploymentAlgorithm):
             if not checker.satisfied():
                 continue
             feasible_iterations += 1
-            deployment = cm.decode(assignment)
-            value = self._evaluate(model, deployment)
+            value = self._evaluate_encoded(model, assignment)
             if best is None or self.objective.is_better(value, best_value):
                 best_value = value
-                best = deployment
+                best = assignment
         extra = {
             "iterations": self.iterations,
             "feasible_iterations": feasible_iterations,
         }
-        return best, extra
+        return (None if best is None else cm.decode(best)), extra

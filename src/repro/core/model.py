@@ -180,8 +180,8 @@ class Deployment(Mapping[str, str]):
         """A new deployment with one component reassigned.
 
         When this deployment's hash is already known, the child's hash is
-        derived with two XORs instead of rehashed from scratch — the same
-        Zobrist-style incremental scheme as ``CompiledDeployment``.
+        derived with two XORs instead of rehashed from scratch (a
+        Zobrist-style incremental scheme).
         """
         old_host = self._map.get(component_id)
         if old_host is None:

@@ -9,8 +9,9 @@ statically in one file's AST:
 
 * **DT001** — the process-global RNG (``random.random()``,
   ``numpy.random.*``) is used, or an *unseeded* generator is built
-  (``random.Random()`` / ``default_rng()`` with no seed or a literal
-  ``None`` seed): results change run to run.  Each such call is reported
+  (``random.Random()``, or a numpy constructor such as ``default_rng()``,
+  ``RandomState()`` or ``PCG64()``, with no seed or a literal ``None``
+  seed): results change run to run.  Each such call is reported
   where it is made, wherever its result is stored or used.
 * **DT002** — wall-clock time (``time.time``/``perf_counter``/
   ``monotonic``, ``datetime.now``…) is read inside a serialization
@@ -51,6 +52,14 @@ _RANDOM_NON_CONSUMING = frozenset({
 #: Generator constructors; a call is unseeded when it passes no seed.
 _GENERATOR_FACTORIES = frozenset({"random.Random", "Random", "default_rng"})
 
+#: ``numpy.random`` constructors of a generator, bit generator or seed
+#: source: they draw nothing from the global stream, so DT001 checks
+#: their seed instead.
+_NUMPY_GENERATORS = frozenset({
+    "default_rng", "RandomState", "SeedSequence", "Generator",
+    "BitGenerator", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+})
+
 _WALL_CLOCK_ATTRS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
     "monotonic_ns", "process_time", "clock",
@@ -76,12 +85,11 @@ def _is_global_rng_call(call: ast.Call) -> bool:
         return False
     parts = dotted.split(".")
     if len(parts) == 2 and parts[0] == "random" and \
-            parts[1] not in _RANDOM_NON_CONSUMING:
+            parts[1] not in _RANDOM_NON_CONSUMING | _NUMPY_GENERATORS:
         return True
     # numpy.random.shuffle / np.random.rand / numpy.random.randint ...
-    # (default_rng builds a generator; DT001 checks its seed instead.)
     if len(parts) >= 3 and parts[-3] in ("numpy", "np") and \
-            parts[-2] == "random" and parts[-1] != "default_rng":
+            parts[-2] == "random" and parts[-1] not in _NUMPY_GENERATORS:
         return True
     if len(parts) == 2 and parts[0] in ("numpy", "np") and \
             parts[1] == "random":  # np.random(...) misuse
@@ -90,11 +98,16 @@ def _is_global_rng_call(call: ast.Call) -> bool:
 
 
 def _is_unseeded_generator(call: ast.Call) -> bool:
-    """``random.Random()`` / ``numpy.random.default_rng()`` with no seed
-    argument, or with a literal ``None`` seed."""
+    """``random.Random()`` / ``numpy.random.default_rng()`` (or another
+    numpy generator constructor) with no seed argument, or with a literal
+    ``None`` seed."""
     dotted = _dotted(call.func)
-    if dotted is None or not (dotted in _GENERATOR_FACTORIES or
-                              dotted.endswith("random.default_rng")):
+    if dotted is None:
+        return False
+    parts = dotted.split(".")
+    if not (dotted in _GENERATOR_FACTORIES or
+            (len(parts) >= 2 and parts[-2] == "random"
+             and parts[-1] in _NUMPY_GENERATORS)):
         return False
     seeds = call.args + [keyword.value for keyword in call.keywords]
     return not seeds or (len(seeds) == 1 and
@@ -135,10 +148,11 @@ class UnseededRandomRule(Rule):
     rule_id = "DT001"
     severity = Severity.ERROR
     description = ("No process-global RNG (random.*, numpy.random.*) and "
-                   "no unseeded generator construction (random.Random() / "
-                   "default_rng() with no seed or a None seed), wherever "
-                   "the generator is stored or used: results must be "
-                   "reproducible from the run's seed.")
+                   "no unseeded generator construction (random.Random() "
+                   "or a numpy.random generator, bit-generator or "
+                   "SeedSequence constructor with no seed or a None "
+                   "seed), wherever the generator is stored or used: "
+                   "results must be reproducible from the run's seed.")
     tags = frozenset({"determinism"})
 
     def check(self, context: Any) -> Iterable[Finding]:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.compiled import (
-    UNDEPLOYED, CompiledDeployment, CompiledModel, compile_kernel,
-    compiled_model, register_kernel,
+    UNDEPLOYED, CompiledModel, compile_kernel, compiled_model, register_kernel,
 )
 from repro.core.model import DeploymentModel
 from repro.core.objectives import (
@@ -105,44 +104,6 @@ class TestSnapshotCache:
         first = compiled_model(tiny_model)
         tiny_model.deploy("c1", "hB")
         assert compiled_model(tiny_model) is first
-
-
-class TestCompiledDeployment:
-    def test_hash_matches_rebuild_after_moves(self, small_model):
-        compiled = compiled_model(small_model)
-        current = CompiledDeployment.from_mapping(
-            compiled, small_model.deployment)
-        for component_index in range(compiled.n_components):
-            current = current.moved(component_index,
-                                    component_index % compiled.n_hosts)
-        rebuilt = CompiledDeployment(compiled, current.assignment)
-        assert hash(current) == hash(rebuilt)
-        assert current == rebuilt
-
-    def test_moved_is_nondestructive(self, tiny_model):
-        compiled = compiled_model(tiny_model)
-        base = CompiledDeployment.from_mapping(compiled,
-                                               tiny_model.deployment)
-        moved = base.moved(0, 1)
-        assert moved is not base
-        assert base.assignment != moved.assignment
-        assert base.moved(0, base.assignment[0]) is base  # no-op move
-
-    def test_to_deployment_roundtrip(self, tiny_model):
-        compiled = compiled_model(tiny_model)
-        base = CompiledDeployment.from_mapping(compiled,
-                                               tiny_model.deployment)
-        assert dict(base.to_deployment()) == dict(tiny_model.deployment)
-
-    def test_unknown_host_rejected(self, tiny_model):
-        compiled = compiled_model(tiny_model)
-        with pytest.raises(KeyError):
-            CompiledDeployment.from_mapping(compiled, {"c1": "ghost"})
-
-    def test_length_mismatch_rejected(self, tiny_model):
-        compiled = compiled_model(tiny_model)
-        with pytest.raises(ValueError):
-            CompiledDeployment(compiled, [0])
 
 
 class TestKernelRegistry:

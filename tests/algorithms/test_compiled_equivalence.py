@@ -209,3 +209,32 @@ class TestKernelEquivalence:
                 model, deployment, component_id, host_id) == pytest.approx(
                     reference, abs=TOLERANCE), objective.name
             assert engine.stats.kernel_deltas == 2
+
+
+class TestEncodedScoring:
+    """``evaluate`` on a mapping and ``evaluate_encoded`` on its encoding
+    are one scoring path: same value, one memo entry."""
+
+    @pytest.mark.parametrize("objective", all_objectives(),
+                             ids=lambda o: o.name)
+    def test_mapping_and_encoding_share_value_and_memo(self, objective):
+        model = build_model(5, 12, seed=7)
+        compiled = compiled_model(model)
+        rng = random.Random(11)
+        mapping = {c: rng.choice(model.host_ids) for c in model.component_ids}
+        encoded = compiled.encode(mapping)
+
+        engine = EvaluationEngine(objective)
+        by_mapping = engine.evaluate(model, mapping)
+        assert engine.evaluate_encoded(model, encoded) == by_mapping
+        assert (engine.stats.full_evaluations, engine.stats.cache_hits) \
+            == (1, 1)
+
+        engine = EvaluationEngine(objective)
+        assert engine.evaluate_encoded(model, encoded) == by_mapping
+        assert engine.evaluate(model, mapping) == by_mapping
+        assert (engine.stats.full_evaluations, engine.stats.cache_hits) \
+            == (1, 1)
+        assert engine.stats.kernel_evaluations == 1
+        assert by_mapping == pytest.approx(
+            objective.evaluate(model, mapping), abs=TOLERANCE)

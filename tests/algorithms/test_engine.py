@@ -16,11 +16,13 @@ from repro.algorithms import (
     AvalaAlgorithm, HillClimbingAlgorithm, StochasticAlgorithm,
 )
 from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.compiled import compiled_model
 from repro.algorithms.engine import (
     ERROR, OK, SKIPPED, DeploymentCache, EvaluationEngine, PortfolioRunner,
 )
 from repro.core.analyzer import Analyzer
 from repro.core.errors import EvaluationBudgetExceeded, NoValidDeploymentError
+from repro.core.model import Deployment
 from repro.core.objectives import (
     AvailabilityObjective, CommunicationCostObjective, Objective,
     WeightedObjective,
@@ -197,6 +199,31 @@ class TestEvaluationEngine:
         assert result.deployment  # degraded to best-seen, not aborted
         counters = result.extra["engine"]
         assert counters["full_evaluations"] <= 10 + 1  # +1 final (uncharged)
+
+    def test_truncated_stochastic_returns_best_encoded_fill(
+            self, medium_model, availability, memory_constraints):
+        scored = []
+
+        class Recording(EvaluationEngine):
+            def evaluate_encoded(self, model, assignment):
+                value = super().evaluate_encoded(model, assignment)
+                scored.append((value, tuple(assignment)))
+                return value
+
+        model = medium_model.copy()
+        engine = Recording(availability, memory_constraints,
+                           max_evaluations=10)
+        result = StochasticAlgorithm(availability, memory_constraints,
+                                     seed=7, iterations=200).run(
+            model, engine=engine)
+        assert result.extra.get("truncated") is True
+        best_value, best = scored[0]
+        for value, assignment in scored[1:]:
+            if availability.is_better(value, best_value):
+                best_value, best = value, assignment
+        assert isinstance(result.deployment, Deployment)
+        assert result.deployment == compiled_model(model).decode(best)
+        assert result.value == best_value
 
     def test_snapshot_reports_budgets(self, tiny_model, availability):
         engine = EvaluationEngine(availability, max_evaluations=50)
@@ -399,6 +426,29 @@ class TestKernelRouting:
         value = engine.evaluate(tiny_model, deployment)
         assert engine.stats.kernel_evaluations == 0
         assert value == availability.evaluate(tiny_model, deployment)
+        assert engine.evaluate(tiny_model, dict(deployment)) == value
+        assert engine.stats.cache_hits == 1
+        assert engine.best_seen() == (Deployment(deployment), value)
+
+    def test_custom_objective_receives_callers_mapping(self, tiny_model):
+        seen = []
+
+        class Custom(Objective):
+            name = "custom"
+
+            def evaluate(self, model, deployment):
+                seen.append(deployment)
+                return float(len(set(deployment.values())))
+
+        engine = EvaluationEngine(Custom())
+        mapping = dict(tiny_model.deployment)
+        engine.evaluate(tiny_model, mapping)
+        assert seen == [mapping] and seen[0] is mapping
+        encoded = compiled_model(tiny_model).encode(
+            {c: "hB" for c in tiny_model.component_ids})
+        engine.evaluate_encoded(tiny_model, encoded)
+        assert seen[1] == {c: "hB" for c in tiny_model.component_ids}
+        assert engine.stats.kernel_evaluations == 0
 
     def test_parameter_change_recompiles_kernel(self, tiny_model,
                                                 availability):

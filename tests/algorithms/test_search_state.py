@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import SearchState, make_checker
+from repro.algorithms import SearchState, greedy_fill_deployment, make_checker
 from repro.algorithms.engine import EvaluationEngine
 from repro.core.constraints import (
     BandwidthConstraint, CollocationConstraint, ConstraintSet,
@@ -198,6 +198,43 @@ def test_make_checker_falls_back_for_unknown_constraint_types():
     fallback.allows(model.component_ids[0], model.host_ids[0])
     assert compiled.stats.constraint_checks == 1
     assert fallback.stats.constraint_checks == 1
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_greedy_fill_charges_one_check_per_probe(compiled):
+    model = _model(seed=3, hosts=5, components=14)
+    constraints = _rich_constraints(model)
+    if not compiled:
+        constraints = object_path(constraints)
+    checker = make_checker(model, constraints)
+    assert checker.compiled is compiled
+    probes = []
+    probe = checker.probe_index
+    checker.probe_index = lambda ci, hi: probes.append(ci) or probe(ci, hi)
+    checker.stats.constraint_checks = 0
+    hosts = list(range(checker.cm.n_hosts))[::-1]
+    components = list(range(checker.cm.n_components))
+    assignment = greedy_fill_deployment(checker, hosts, components)
+    assert assignment is not None and checker.satisfied()
+    assert len(probes) > len(components)  # later hosts were probed too
+    assert checker.stats.constraint_checks == len(probes) + 1  # + satisfied
+    reference = make_checker(model, _rich_constraints(model))
+    assert greedy_fill_deployment(reference, hosts, components) == assignment
+    assert reference.stats.constraint_checks == len(probes)
+
+
+def test_checkers_reset_from_an_index_list():
+    model = _model(seed=3, hosts=4, components=8)
+    constraints = _rich_constraints(model)
+    assignment = make_checker(model, constraints).cm.encode(model.deployment)
+    for checker in (make_checker(model, constraints),
+                    make_checker(model, object_path(constraints))):
+        checker.reset(assignment)
+        by_index = checker.violation_count()
+        checker.reset(model.deployment)
+        assert checker.violation_count() == by_index
+        checker.reset(())
+        assert checker.violation_count() == 0
 
 
 def test_uncompilable_constraints_still_search_correctly():

@@ -157,6 +157,29 @@ class TestUnseededRandom:
         """)
         assert not findings
 
+    def test_seeded_numpy_constructors_clean(self):
+        findings = run_rule(UnseededRandomRule, """
+            import numpy as np
+
+            def build(seed):
+                return (np.random.RandomState(seed),
+                        np.random.SeedSequence(seed),
+                        np.random.Generator(np.random.PCG64(seed)))
+        """)
+        assert not findings
+
+    def test_unseeded_numpy_constructors_flagged(self):
+        findings = run_rule(UnseededRandomRule, """
+            import numpy as np
+
+            def build():
+                return np.random.RandomState(), np.random.Generator(
+                    np.random.PCG64())
+        """)
+        assert [(f.rule, f.line) for f in findings] == \
+            [("DT001", 5), ("DT001", 6)]
+        assert all("unseeded generator" in f.message for f in findings)
+
 
 class TestWallClockInReport:
     def test_time_in_to_dict_flagged(self):

@@ -173,8 +173,8 @@ model: `compiled_model(model)` snapshots a `DeploymentModel` into a
 logical adjacency with per-edge parameter arrays, dense host×host
 reliability/bandwidth/delay/security matrices, per-entity resource
 vectors), invalidated through model-listener events and recompiled
-lazily per generation.  `CompiledDeployment` pairs a host-index array
-with an O(1) incrementally-maintained Zobrist hash.
+lazily per generation.  `encode`/`decode` convert a deployment mapping
+to and from its host-index list, the form the engine scores and memoizes.
 `compile_kernel(objective, compiled)` resolves a per-objective kernel by
 exact type (`register_kernel` extends the table); every built-in
 objective has one, all with incremental `move_delta`, and
