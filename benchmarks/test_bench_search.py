@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.algorithms.base import random_valid_deployment
 from repro.algorithms.engine import EvaluationEngine
-from repro.algorithms.search import SearchState
+from repro.algorithms.search import SearchState, make_checker
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
     MemoryConstraint,
@@ -59,7 +59,7 @@ def build_case(hosts, components, seed):
         CollocationConstraint([comps[1], comps[2]], together=True),
         CollocationConstraint([comps[3], comps[4]], together=False),
     ])
-    initial = random_valid_deployment(model, constraints,
+    initial = random_valid_deployment(make_checker(model, constraints),
                                       random.Random(seed * 13 + 1))
     assert initial is not None, "bench seed must start valid"
     return model, constraints, initial
@@ -77,13 +77,13 @@ def hillclimb(model, constraints, objective, initial):
         if step is None:
             break
         state.apply(step[0], step[1])
-    return state.mapping, list(state.moves), engine.stats
+    return list(state.array), list(state.moves), engine.stats
 
 
 def swapsearch(model, constraints, objective, initial):
     engine = EvaluationEngine(objective, constraints)
     state = SearchState(model, constraints, engine, initial)
-    indices = [state.component_index(c) for c in model.component_ids]
+    indices = range(state.cm.n_components)
     array = state.array
 
     def gain_of(delta):
@@ -112,7 +112,7 @@ def swapsearch(model, constraints, objective, initial):
             state.apply(best_action[1], best_action[2])
         else:
             state.apply_swap(best_action[1], best_action[2])
-    return state.mapping, list(state.moves), engine.stats
+    return list(state.array), list(state.moves), engine.stats
 
 
 # ---------------------------------------------------------------------------

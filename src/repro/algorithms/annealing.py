@@ -46,32 +46,32 @@ class SimulatedAnnealingAlgorithm(DeploymentAlgorithm):
                 and self.constraints.is_satisfied(model, initial)):
             current = dict(initial)
         else:
-            current = random_valid_deployment(
-                model, self.constraints, self.rng,
-                checker=self._checker(model))
+            current = random_valid_deployment(self._checker(model),
+                                              self.rng)
         if current is None:
             return None, {"accepted": 0}
 
-        components = model.component_ids
-        hosts = model.host_ids
-        if len(hosts) < 2:
+        if len(model.host_ids) < 2:
             return current, {"accepted": 0, "note": "single host"}
 
         # The search state answers allows() in O(1) and deltas without the
         # per-call re-encode; annealing never asks for best_move(), so the
         # frontier is never built and proposals stay O(1).
         state = self._search_state(model, current)
-        current_value = self._evaluate(model, state.mapping)
-        best = dict(state.mapping)
+        cm = state.cm
+        # ``random.choice`` draws depend only on the length, so these pick
+        # what choosing from the model's id tuples would.
+        components = range(cm.n_components)
+        hosts = range(cm.n_hosts)
+        current_value = self._evaluate_encoded(model, state.array)
+        best = list(state.array)
         best_value = current_value
         temperature = self.initial_temperature
         accepted = 0
 
         for __ in range(self.steps):
-            component = self.rng.choice(components)
-            host = self.rng.choice(hosts)
-            ci = state.component_index(component)
-            hi = state.host_index(host)
+            ci = self.rng.choice(components)
+            hi = self.rng.choice(hosts)
             if hi == state.array[ci]:
                 continue
             if not state.allows(ci, hi):
@@ -87,12 +87,13 @@ class SimulatedAnnealingAlgorithm(DeploymentAlgorithm):
                 accepted += 1
                 if self.objective.is_better(current_value, best_value):
                     best_value = current_value
-                    best = dict(state.mapping)
+                    best = list(state.array)
             temperature *= self.cooling
 
         # Guard against drift in the incrementally-maintained value.
         extra = {"accepted": accepted, "final_temperature": temperature,
                  "moves": list(state.moves)}
-        if self.constraints.is_satisfied(model, best):
-            return best, extra
-        return state.mapping, extra
+        best_mapping = cm.decode(best)
+        if self.constraints.is_satisfied(model, best_mapping):
+            return best_mapping, extra
+        return cm.decode(state.array), extra

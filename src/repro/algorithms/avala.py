@@ -144,18 +144,21 @@ class AvalaAlgorithm(DeploymentAlgorithm):
         assignment: Dict[str, str] = {}
         checker = self._checker(model)
         checker.reset(())
+        cm = checker.cm
         placements_considered = 0
 
         for host in host_order:
             if not unassigned:
                 break
+            hi = cm.host_index[host]
             # Fill this host with best components until nothing more fits.
             while unassigned:
                 on_host = [c for c, h in assignment.items() if h == host]
                 best_component: Optional[str] = None
                 best_score = float("-inf")
                 for component in sorted(unassigned):
-                    if not checker.allows(component, host):
+                    if not checker.allows_index(cm.component_index[component],
+                                                hi):
                         continue
                     placements_considered += 1
                     local = sum(model.frequency(component, placed)
@@ -169,7 +172,7 @@ class AvalaAlgorithm(DeploymentAlgorithm):
                 if best_component is None:
                     break  # host is full (no remaining component fits)
                 assignment[best_component] = host
-                checker.place(best_component, host)
+                checker.place_index(cm.component_index[best_component], hi)
                 unassigned.discard(best_component)
 
         self._count_evaluation(placements_considered)
@@ -182,7 +185,6 @@ class AvalaAlgorithm(DeploymentAlgorithm):
             # no single host able to take it).  Repair: rebuild with the
             # same host ranking but components placed largest-first, which
             # packs tight instances the interaction-greedy order cannot.
-            cm = checker.cm
             by_memory = sorted(
                 model.component_ids,
                 key=lambda c: (-model.component(c).memory, c))

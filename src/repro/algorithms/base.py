@@ -220,55 +220,41 @@ class DeploymentAlgorithm(ABC):
                 f"constraints={len(self.constraints)})")
 
 
-def random_valid_deployment(model: DeploymentModel,
-                            constraints: ConstraintSet,
-                            rng: random.Random,
+def random_valid_deployment(checker: Any, rng: random.Random,
                             max_attempts: int = 200,
-                            checker: Optional[Any] = None,
                             ) -> Optional[Dict[str, str]]:
     """Build a random constraint-satisfying deployment, or None.
 
     This is one iteration of the Stochastic algorithm's inner loop (and the
     seeding step for the annealing/genetic extensions): order hosts and
     components randomly, then place each component on the first host (in the
-    random order) that the constraint checker allows.
-
-    When a *checker* (from :func:`repro.algorithms.search.make_checker`) is
-    supplied, legality probes go through it — O(1) per probe on the
-    compiled path — with an identical probe order, so results match the
-    plain ``constraints`` path exactly.
+    random order) that *checker* (from
+    :func:`repro.algorithms.search.make_checker`) allows.  The mapping
+    lists components in placement order; the checker is left holding the
+    last attempt.
     """
+    cm = checker.cm
     for __ in range(max_attempts):
-        hosts = list(model.host_ids)
-        components = list(model.component_ids)
+        # ``random.shuffle`` draws depend only on the length, so these are
+        # the permutations of the model's id lists.
+        hosts = list(range(cm.n_hosts))
+        components = list(range(cm.n_components))
         rng.shuffle(hosts)
         rng.shuffle(components)
         assignment: Dict[str, str] = {}
-        if checker is not None:
-            checker.reset(())
+        checker.reset(())
         feasible = True
-        for component in components:
-            placed = False
-            for host in hosts:
-                if checker is not None:
-                    allowed = checker.allows(component, host)
-                else:
-                    allowed = constraints.allows(model, assignment,
-                                                 component, host)
-                if allowed:
-                    assignment[component] = host
-                    if checker is not None:
-                        checker.place(component, host)
-                    placed = True
+        for ci in components:
+            for hi in hosts:
+                if checker.allows_index(ci, hi):
+                    assignment[cm.component_ids[ci]] = cm.host_ids[hi]
+                    checker.place_index(ci, hi)
                     break
-            if not placed:
+            else:
                 feasible = False
                 break
-        if feasible:
-            complete = (checker.satisfied() if checker is not None
-                        else constraints.is_satisfied(model, assignment))
-            if complete:
-                return assignment
+        if feasible and checker.satisfied():
+            return assignment
     return None
 
 

@@ -144,13 +144,6 @@ class DecApAlgorithm(DeploymentAlgorithm):
             value += local_bid * model.reliability(auctioneer, bidder)
         return value
 
-    def _can_host(self, model: DeploymentModel, assignment: Dict[str, str],
-                  component: str, host: str,
-                  checker: Optional[Any] = None) -> bool:
-        if checker is not None:
-            return checker.allows(component, host)
-        return self.constraints.allows(model, assignment, component, host)
-
     # ------------------------------------------------------------------
     def _search(self, model: DeploymentModel, initial: Dict[str, str],
                 ) -> Tuple[Optional[Mapping[str, str]], Dict[str, Any]]:
@@ -159,15 +152,15 @@ class DecApAlgorithm(DeploymentAlgorithm):
         assignment: Dict[str, str] = dict(initial)
         checker = self._checker(model)
         checker.reset(assignment)
+        cm = checker.cm
         # DecAp improves an existing deployment; components not yet deployed
         # start on an arbitrary allowed host.
-        for component in model.component_ids:
+        for ci, component in enumerate(cm.component_ids):
             if component not in assignment:
-                for host in model.host_ids:
-                    if self._can_host(model, assignment, component, host,
-                                      checker):
+                for hi, host in enumerate(cm.host_ids):
+                    if checker.allows_index(ci, hi):
                         assignment[component] = host
-                        checker.place(component, host)
+                        checker.place_index(ci, hi)
                         break
         if len(assignment) < len(model.component_ids):
             return None, {"reason": "could not seed initial deployment"}
@@ -197,12 +190,13 @@ class DecApAlgorithm(DeploymentAlgorithm):
                 ]
                 for component in local_components:
                     total_auctions += 1
+                    ci = cm.component_index[component]
                     bids: Dict[str, float] = {}
                     for bidder in sorted(neighbors):
                         if not model.has_host(bidder):
                             continue
-                        if not self._can_host(model, assignment,
-                                              component, bidder, checker):
+                        if not checker.allows_index(ci,
+                                                    cm.host_index[bidder]):
                             continue  # bidder cannot take the component
                         bids[bidder] = self._local_bid(
                             model, assignment, component, bidder)
@@ -220,7 +214,7 @@ class DecApAlgorithm(DeploymentAlgorithm):
                     winner = max(sorted(final_bids), key=final_bids.get)
                     if final_bids[winner] > keep + 1e-12:
                         assignment[component] = winner
-                        checker.place(component, winner)
+                        checker.place_index(ci, cm.host_index[winner])
                         moves_this_round += 1
             total_moves += moves_this_round
             if moves_this_round == 0:

@@ -14,9 +14,11 @@ Two hot-path observations drive this module:
   :meth:`EvaluationEngine.evaluate` encodes a mapping and delegates, so
   both share one memo.  Misses go to the objective's compiled kernel, or
   to ``Objective.evaluate`` when it has none.  Single-component moves are
-  routed through an O(degree) delta (the compiled kernel's, or the
-  objective's own ``move_delta``) whenever the objective declares
-  ``supports_delta``.
+  scored the same way: :meth:`EvaluationEngine.move_delta_indexed` takes
+  the encoded list plus a component and host index and routes through an
+  O(degree) delta (the compiled kernel's, or the objective's own
+  ``move_delta``) whenever the objective declares ``supports_delta``;
+  :meth:`EvaluationEngine.move_delta` encodes a mapping and delegates.
 
 * One failing algorithm must not abort the monitor→analyze→effect loop.
   :class:`PortfolioRunner` executes a portfolio of algorithms one after
@@ -316,27 +318,25 @@ class EvaluationEngine:
     def move_delta(self, model: DeploymentModel,
                    deployment: Mapping[str, str], component: str,
                    new_host: str) -> float:
-        """Objective change for one component move.
+        """:meth:`move_delta_indexed` for a deployment mapping.
 
-        Routed through the objective's compiled kernel when one exists,
-        else its O(degree) ``move_delta`` when it declares
-        ``supports_delta``; otherwise served by two (memoized) full
-        evaluations.
+        The mapping is encoded and the move translated to indices.  Only a
+        mapping or move naming a host or component unknown to the model's
+        snapshot keeps the object path: the objective's own
+        ``move_delta`` when it declares ``supports_delta``, else two
+        (memoized) full evaluations.
         """
+        compiled = self._compiled_for(model)[0]
+        component_index = compiled.component_index.get(component)
+        host_index = compiled.host_index.get(new_host)
+        if component_index is not None and host_index is not None:
+            assignment = compiled.encode(deployment)
+            if assignment is not None:
+                return self.move_delta_indexed(model, assignment,
+                                               component_index, host_index)
         if getattr(self.objective, "supports_delta", False):
             self._charge()
             self.stats.delta_evaluations += 1
-            kernel = self._compiled_for(model)[1]
-            if kernel is not None and kernel.supports_delta:
-                compiled = kernel.cm
-                component_index = compiled.component_index.get(component)
-                host_index = compiled.host_index.get(new_host)
-                if component_index is not None and host_index is not None:
-                    assignment = compiled.encode(deployment)
-                    if assignment is not None:
-                        self.stats.kernel_deltas += 1
-                        return kernel.move_delta(assignment, component_index,
-                                                 host_index)
             return self.objective.move_delta(model, deployment, component,
                                              new_host)
         self.stats.delta_fallbacks += 1
@@ -346,36 +346,32 @@ class EvaluationEngine:
         return self.evaluate(model, moved) - base
 
     def move_delta_indexed(self, model: DeploymentModel,
-                           deployment: Mapping[str, str],
                            assignment: Sequence[int], component_index: int,
                            host_index: int) -> float:
-        """:meth:`move_delta` for callers that maintain the encoded form.
+        """Objective change for one move in an encoded deployment.
 
-        ``repro.algorithms.search.SearchState`` keeps *assignment* (the
-        compiled host-index array) in lock-step with *deployment*, so the
-        per-call ``CompiledModel.encode`` — O(components) — is skipped and
-        a kernel delta costs only O(degree).  Budget charging and counters
-        are identical to :meth:`move_delta`.
+        Routed through the objective's compiled kernel in O(degree) when
+        one exists, else its ``move_delta`` on the decoded mapping when it
+        declares ``supports_delta``; otherwise served by two (memoized)
+        full evaluations.
         """
         if getattr(self.objective, "supports_delta", False):
             self._charge()
             self.stats.delta_evaluations += 1
-            kernel = self._compiled_for(model)[1]
+            compiled, kernel = self._compiled_for(model)
             if kernel is not None and kernel.supports_delta:
                 self.stats.kernel_deltas += 1
                 return kernel.move_delta(assignment, component_index,
                                          host_index)
-            compiled = compiled_model(model)
             return self.objective.move_delta(
-                model, deployment, compiled.component_ids[component_index],
+                model, compiled.decode(assignment),
+                compiled.component_ids[component_index],
                 compiled.host_ids[host_index])
-        compiled = compiled_model(model)
         self.stats.delta_fallbacks += 1
-        base = self.evaluate(model, deployment)
-        moved = dict(deployment)
-        moved[compiled.component_ids[component_index]] = \
-            compiled.host_ids[host_index]
-        return self.evaluate(model, moved) - base
+        base = self.evaluate_encoded(model, assignment)
+        moved = list(assignment)
+        moved[component_index] = host_index
+        return self.evaluate_encoded(model, moved) - base
 
     # -- best-so-far (graceful truncation) ----------------------------------
     def _track_best(self, model: DeploymentModel, key: Hashable,

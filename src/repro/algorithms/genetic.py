@@ -79,8 +79,7 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         checker = self._checker(model)
 
         population: List[Dict[str, str]] = []
-        seed_valid = random_valid_deployment(model, self.constraints,
-                                             self.rng, checker=checker)
+        seed_valid = random_valid_deployment(checker, self.rng)
         if seed_valid is not None:
             population.append(seed_valid)
         if (len(initial) == len(components)
@@ -121,8 +120,7 @@ class GeneticAlgorithm(DeploymentAlgorithm):
             # Never found a feasible individual; fall back to any valid
             # random deployment so the caller gets a usable answer if one
             # exists at all.
-            fallback = random_valid_deployment(model, self.constraints,
-                                               self.rng, checker=checker)
+            fallback = random_valid_deployment(checker, self.rng)
             if fallback is not None:
                 return fallback, extra
         return best, extra

@@ -41,9 +41,8 @@ class HillClimbingAlgorithm(DeploymentAlgorithm):
                 and self.constraints.is_satisfied(model, initial)):
             assignment = dict(initial)
         else:
-            assignment = random_valid_deployment(
-                model, self.constraints, self.rng,
-                checker=self._checker(model))
+            assignment = random_valid_deployment(self._checker(model),
+                                                 self.rng)
         if assignment is None:
             return None, {"rounds": 0}
 
@@ -57,5 +56,6 @@ class HillClimbingAlgorithm(DeploymentAlgorithm):
             ci, hi, __ = step
             state.apply(ci, hi)
             moves_taken += 1
-        return state.mapping, {"rounds": rounds, "moves_taken": moves_taken,
-                               "moves": list(state.moves)}
+        return state.cm.decode(state.array), {
+            "rounds": rounds, "moves_taken": moves_taken,
+            "moves": list(state.moves)}

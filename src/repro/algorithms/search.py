@@ -6,11 +6,16 @@ moves, and each legality probe cost O(C) inside the object constraint path
 O(degree).  :class:`SearchState` turns the round into O(affected):
 
 * **Constraint checkers.**  :func:`make_checker` resolves either the
-  compiled fast path (:class:`CompiledConstraintChecker`, O(1) ``allows``
-  over :class:`~repro.core.constraints_compiled.CompiledConstraintSet`) or
-  the object fallback (:class:`ObjectConstraintChecker`) when a constraint
-  type is not compilable.  Both expose the same protocol, count their
-  queries into ``EvaluationStats.constraint_checks``, and are equivalent by
+  compiled fast path (:class:`CompiledConstraintChecker`, O(1)
+  ``allows_index`` over
+  :class:`~repro.core.constraints_compiled.CompiledConstraintSet`) or the
+  object fallback (:class:`ObjectConstraintChecker`) when a constraint
+  type is not compilable.  Both expose the same index-only protocol
+  (``allows_index``/``probe_index``/``place_index``/``undo`` over the
+  component and host indices of ``checker.cm``) and hold the assignment
+  as a host-index list (``checker.assignment``); callers translate ids
+  through ``checker.cm`` at their edges.  Both count their queries into
+  ``EvaluationStats.constraint_checks``, and are equivalent by
   construction/property test.
 
 * **Legal-move frontier with dirty-move invalidation.**  The frontier
@@ -25,12 +30,12 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   A lazy best-move heap orders the surviving row bests.
 
 * **Exactness.**  Deltas always come from the evaluation engine's kernels
-  (`move_delta_indexed`), whichever checker answers legality, so fixed-seed
-  trajectories are pinned by the regression suite's golden move logs.
-  Objectives whose deltas are not neighbor-local
-  (``Objective.local_delta`` False, e.g. throughput's bottleneck max)
-  invalidate the whole frontier each move: still a win, because legality
-  stays O(1) and deltas skip the per-call re-encode.
+  (``move_delta_indexed`` on the checker's array), whichever checker
+  answers legality, so fixed-seed trajectories are pinned by the
+  regression suite's golden move logs.  Objectives whose deltas are not
+  neighbor-local (``Objective.local_delta`` False, e.g. throughput's
+  bottleneck max) invalidate the whole frontier each move: still a win,
+  because legality stays O(1) and deltas never re-encode.
 
 See ``docs/PERFORMANCE.md`` (search-engine section) for the invalidation
 rules and the measured speedups (``BENCH_search.json``).
@@ -55,17 +60,15 @@ from repro.core.model import DeploymentModel
 #: historical scan-loop tolerance).
 GAIN_EPS = 1e-12
 
-#: Sentinel for "component was absent" in object-checker undo tokens.
-_ABSENT = object()
-
 
 class ObjectConstraintChecker:
     """Constraint checker over the object ``ConstraintSet`` path.
 
-    The semantics of record: ``allows`` is ``ConstraintSet.allows`` on the
-    mirrored partial assignment.  Used when a constraint type cannot be
+    The semantics of record: ``allows_index`` is ``ConstraintSet.allows``
+    on the mirrored partial mapping.  Used when a constraint type cannot be
     compiled, and by the regression/property suites as the ground truth the
-    compiled checker must match.
+    compiled checker must match.  Like the compiled checker it keeps the
+    host index of every component in :attr:`assignment`.
     """
 
     compiled = False
@@ -78,33 +81,51 @@ class ObjectConstraintChecker:
         self.stats = stats if stats is not None else EvaluationStats()
         self.cm = cm if cm is not None else compiled_model(model)
         self.partial: Dict[str, str] = {}
+        self.assignment: List[int] = [UNDEPLOYED] * self.cm.n_components
 
     def reset(self, assignment: Union[Mapping[str, str], Sequence[int]],
               ) -> None:
-        """Rebind to a mapping or a host-index assignment."""
-        self.partial = (dict(assignment) if isinstance(assignment, Mapping)
-                        else self.cm.decode(assignment))
+        """Rebind to a mapping or a host-index assignment.
 
-    # -- id lane ---------------------------------------------------------
-    def allows(self, component: str, host: str) -> bool:
-        self.stats.constraint_checks += 1
-        return self.constraints.allows(self.model, self.partial, component,
-                                       host)
-
-    def place(self, component: str, host: Optional[str]):
-        token = (component, self.partial.get(component, _ABSENT))
-        if host is None:
-            self.partial.pop(component, None)
+        A short list, such as ``()``, leaves the remaining components
+        undeployed.
+        """
+        if isinstance(assignment, Mapping):
+            encoded = self.cm.encode(assignment)
+            if encoded is None:
+                raise ValueError("assignment references unknown hosts")
+            self.partial = dict(assignment)
         else:
-            self.partial[component] = host
+            encoded = list(assignment)
+            self.partial = self.cm.decode(encoded)
+        self.assignment = encoded + [UNDEPLOYED] * (self.cm.n_components
+                                                    - len(encoded))
+
+    def allows_index(self, ci: int, hi: int) -> bool:
+        self.stats.constraint_checks += 1
+        return self.probe_index(ci, hi)
+
+    def probe_index(self, ci: int, hi: int) -> bool:
+        """:meth:`allows_index` without counting; the caller counts."""
+        return self.constraints.allows(self.model, self.partial,
+                                       self.cm.component_ids[ci],
+                                       self.cm.host_ids[hi])
+
+    def place_index(self, ci: int, hi: int):
+        token = (ci, self.assignment[ci])
+        self._set(ci, hi)
         return token
 
     def undo(self, token) -> None:
-        component, old = token
-        if old is _ABSENT:
+        self._set(*token)
+
+    def _set(self, ci: int, hi: int) -> None:
+        self.assignment[ci] = hi
+        component = self.cm.component_ids[ci]
+        if hi == UNDEPLOYED:
             self.partial.pop(component, None)
         else:
-            self.partial[component] = old
+            self.partial[component] = self.cm.host_ids[hi]
 
     def satisfied(self) -> bool:
         self.stats.constraint_checks += 1
@@ -118,21 +139,6 @@ class ObjectConstraintChecker:
         self.stats.constraint_checks += 1
         return len(self.constraints.violations(self.model, self.partial))
 
-    # -- index lane ------------------------------------------------------
-    def allows_index(self, ci: int, hi: int) -> bool:
-        self.stats.constraint_checks += 1
-        return self.probe_index(ci, hi)
-
-    def probe_index(self, ci: int, hi: int) -> bool:
-        """:meth:`allows_index` without counting; the caller counts."""
-        return self.constraints.allows(self.model, self.partial,
-                                       self.cm.component_ids[ci],
-                                       self.cm.host_ids[hi])
-
-    def place_index(self, ci: int, hi: int):
-        host = None if hi == UNDEPLOYED else self.cm.host_ids[hi]
-        return self.place(self.cm.component_ids[ci], host)
-
 
 class CompiledConstraintChecker:
     """O(1) checker over a bound :class:`CompiledConstraintSet`."""
@@ -144,28 +150,25 @@ class CompiledConstraintChecker:
         self.cm = cm
         self.ccs = compiled_set
         self.stats = stats if stats is not None else EvaluationStats()
-        # The index lane's uncounted probe (the caller counts) and its
-        # placement, bound straight to the compiled set.
+        # The uncounted probe (the caller counts), placement and undo,
+        # bound straight to the compiled set.
         self.probe_index = compiled_set.allows
         self.place_index = compiled_set.place
+        self.undo = compiled_set.undo
+
+    @property
+    def assignment(self) -> List[int]:
+        """Host index per component (``bind`` replaces the list)."""
+        return self.ccs.assignment
 
     def reset(self, assignment: Union[Mapping[str, str], Sequence[int]],
               ) -> None:
         """Rebind to a mapping or a host-index assignment."""
         self.ccs.bind(assignment)
 
-    # -- id lane ---------------------------------------------------------
-    def allows(self, component: str, host: str) -> bool:
+    def allows_index(self, ci: int, hi: int) -> bool:
         self.stats.constraint_checks += 1
-        return self.ccs.allows(self.cm.component_index[component],
-                               self.cm.host_index[host])
-
-    def place(self, component: str, host: Optional[str]):
-        hi = UNDEPLOYED if host is None else self.cm.host_index[host]
-        return self.ccs.place(self.cm.component_index[component], hi)
-
-    def undo(self, token) -> None:
-        self.ccs.undo(token)
+        return self.ccs.allows(ci, hi)
 
     def satisfied(self) -> bool:
         self.stats.constraint_checks += 1
@@ -178,11 +181,6 @@ class CompiledConstraintChecker:
     def violation_count(self) -> int:
         self.stats.constraint_checks += 1
         return self.ccs.violation_count()
-
-    # -- index lane ------------------------------------------------------
-    def allows_index(self, ci: int, hi: int) -> bool:
-        self.stats.constraint_checks += 1
-        return self.ccs.allows(ci, hi)
 
 
 def make_checker(model: DeploymentModel, constraints: ConstraintSet,
@@ -202,43 +200,34 @@ def make_checker(model: DeploymentModel, constraints: ConstraintSet,
 class SearchState:
     """Shared incremental state for one local-search run.
 
-    Owns the assignment (as id mapping *and* compiled index array, kept in
-    lock-step), the constraint checker, the legal-move frontier, and the
-    move log.  Algorithms drive it through :meth:`best_move` /
-    :meth:`apply` (steepest-ascent), :meth:`allows` / :meth:`delta`
-    (stochastic proposals), and the swap helpers.
+    Owns the constraint checker, whose host-index array
+    (``checker.assignment``, aliased as :attr:`array`) is the assignment,
+    the legal-move frontier, and the move log.  Algorithms drive it
+    through :meth:`best_move` / :meth:`apply` (steepest-ascent),
+    :meth:`allows` / :meth:`delta` (stochastic proposals), and the swap
+    helpers, all by component and host index; ``cm.decode(state.array)``
+    turns the result back into a mapping.
     """
 
     def __init__(self, model: DeploymentModel, constraints: ConstraintSet,
-                 engine: EvaluationEngine, assignment: Mapping[str, str], *,
+                 engine: EvaluationEngine,
+                 assignment: Union[Mapping[str, str], Sequence[int]], *,
                  count: Optional[Callable[[int], None]] = None):
         self.model = model
         self.constraints = constraints
         self.engine = engine
-        self.cm = compiled_model(model)
         self._count = count
         self.stats = engine.stats
-        self.mapping: Dict[str, str] = dict(assignment)
-        encoded = self.cm.encode(self.mapping)
-        if encoded is None:
-            raise ValueError("assignment references unknown hosts")
-        # One compilation serves both the checker and the invalidation
-        # metadata (collocation closures, bandwidth presence).
-        info = compile_constraints(constraints, self.cm)
+        self.checker = make_checker(model, constraints, self.stats)
+        self.cm = self.checker.cm
+        # Raises ValueError for a mapping that names an unknown host.
+        self.checker.reset(assignment)
+        #: The checker's array IS the assignment — one mutation source.
+        self.array: List[int] = self.checker.assignment
+        # The compiled set doubles as the invalidation metadata
+        # (collocation closures, bandwidth presence).
+        info = self.checker.ccs if self.checker.compiled else None
         self._compilable = info is not None
-        if info is not None:
-            self.checker = CompiledConstraintChecker(self.cm, info,
-                                                     self.stats)
-            self.checker.reset(encoded)
-            #: The checker's array IS our array — one mutation source.
-            self.array: List[int] = info.assignment
-            self._shared_array = True
-        else:
-            self.checker = ObjectConstraintChecker(model, constraints,
-                                                   self.stats, self.cm)
-            self.checker.reset(self.mapping)
-            self.array = encoded
-            self._shared_array = False
         self._partners: List[Tuple[int, ...]] = (
             info.colloc_partners if info is not None
             else [()] * self.cm.n_components)
@@ -264,13 +253,6 @@ class SearchState:
         self._legal_all = False       # uncompilable constraints: rescan all
         self._base_ok = True
 
-    # -- id/index translation --------------------------------------------
-    def component_index(self, component: str) -> int:
-        return self.cm.component_index[component]
-
-    def host_index(self, host: str) -> int:
-        return self.cm.host_index[host]
-
     # -- primitive queries -------------------------------------------------
     def allows(self, ci: int, hi: int) -> bool:
         """Constraint legality of moving component *ci* to host *hi*."""
@@ -286,8 +268,7 @@ class SearchState:
     def _score(self, ci: int, hi: int) -> float:
         if self._count is not None:
             self._count(1)
-        return self.engine.move_delta_indexed(self.model, self.mapping,
-                                              self.array, ci, hi)
+        return self.engine.move_delta_indexed(self.model, self.array, ci, hi)
 
     # -- mutation ----------------------------------------------------------
     def apply(self, ci: int, hi: int) -> None:
@@ -295,16 +276,11 @@ class SearchState:
         old = self.array[ci]
         if old == hi:
             return
-        component_id = self.cm.component_ids[ci]
-        host_id = self.cm.host_ids[hi]
         self.checker.place_index(ci, hi)
-        if not self._shared_array:
-            self.array[ci] = hi
-        self.mapping[component_id] = host_id
         if old != UNDEPLOYED:
             self._on_host[old].discard(ci)
         self._on_host[hi].add(ci)
-        self.moves.append((component_id, host_id))
+        self.moves.append((self.cm.component_ids[ci], self.cm.host_ids[hi]))
         if self._built:
             self._invalidate(ci, old, hi)
 
@@ -313,17 +289,13 @@ class SearchState:
         ha, hb = self.array[ca], self.array[cb]
         self.checker.place_index(ca, hb)
         self.checker.place_index(cb, ha)
-        if not self._shared_array:
-            self.array[ca], self.array[cb] = hb, ha
-        ca_id, cb_id = self.cm.component_ids[ca], self.cm.component_ids[cb]
-        self.mapping[ca_id] = self.cm.host_ids[hb]
-        self.mapping[cb_id] = self.cm.host_ids[ha]
         self._on_host[ha].discard(ca)
         self._on_host[hb].add(ca)
         self._on_host[hb].discard(cb)
         self._on_host[ha].add(cb)
-        self.moves.append((ca_id, self.cm.host_ids[hb]))
-        self.moves.append((cb_id, self.cm.host_ids[ha]))
+        component_ids, host_ids = self.cm.component_ids, self.cm.host_ids
+        self.moves.append((component_ids[ca], host_ids[hb]))
+        self.moves.append((component_ids[cb], host_ids[ha]))
         if self._built:
             self._invalidate(ca, ha, hb)
             self._invalidate(cb, hb, ha)
@@ -348,13 +320,10 @@ class SearchState:
     def swap_delta(self, ca: int, cb: int) -> float:
         """Objective delta of the exchange: two sequential move deltas."""
         ha, hb = self.array[ca], self.array[cb]
-        ca_id = self.cm.component_ids[ca]
         first = self._score(ca, hb)
         self.array[ca] = hb  # temporarily apply (checker state untouched —
-        self.mapping[ca_id] = self.cm.host_ids[hb]  # no legality probes here)
-        second = self._score(cb, ha)
+        second = self._score(cb, ha)  # no legality probes here)
         self.array[ca] = ha
-        self.mapping[ca_id] = self.cm.host_ids[ha]
         return first + second
 
     # -- frontier ----------------------------------------------------------

@@ -42,14 +42,13 @@ class SwapSearchAlgorithm(DeploymentAlgorithm):
                 and self.constraints.is_satisfied(model, initial)):
             assignment = dict(initial)
         else:
-            assignment = random_valid_deployment(
-                model, self.constraints, self.rng,
-                checker=self._checker(model))
+            assignment = random_valid_deployment(self._checker(model),
+                                                 self.rng)
         if assignment is None:
             return None, {"rounds": 0}
 
         state = self._search_state(model, assignment)
-        indices = [state.component_index(c) for c in model.component_ids]
+        indices = range(state.cm.n_components)
         array = state.array
         moves_taken = swaps_taken = 0
         rounds = 0
@@ -85,6 +84,6 @@ class SwapSearchAlgorithm(DeploymentAlgorithm):
                 __, ca, cb = best_action
                 state.apply_swap(ca, cb)
                 swaps_taken += 1
-        return state.mapping, {"rounds": rounds, "moves_taken": moves_taken,
-                               "swaps_taken": swaps_taken,
-                               "moves": list(state.moves)}
+        return state.cm.decode(state.array), {
+            "rounds": rounds, "moves_taken": moves_taken,
+            "swaps_taken": swaps_taken, "moves": list(state.moves)}

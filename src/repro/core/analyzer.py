@@ -234,12 +234,6 @@ class Analyzer:
     def algorithm_names(self) -> Tuple[str, ...]:
         return self.registry.names
 
-    @property
-    def _tiers(self) -> Dict[str, List[str]]:
-        """Tier -> member names view (kept for backward compatibility)."""
-        return {tier: list(self.registry.members(tier))
-                for tier in self.TIERS}
-
     # ------------------------------------------------------------------
     # Selection policy (Section 5.1)
     # ------------------------------------------------------------------
@@ -249,15 +243,16 @@ class Analyzer:
 
     def select_algorithms(self, model: DeploymentModel) -> List[str]:
         """Which algorithms to run this cycle, by size and stability."""
-        if self.exact_feasible(model) and self._tiers["exact"]:
-            return list(self._tiers["exact"])
+        members = self.registry.members
+        if self.exact_feasible(model) and members("exact"):
+            return list(members("exact"))
         stable = self.history.is_stable(self.stability_threshold,
                                         self.stability_window)
-        if stable is False and self._tiers["fast"]:
+        if stable is False and members("fast"):
             # Unstable: cheap algorithm for an immediate improvement.
-            return list(self._tiers["fast"])
+            return list(members("fast"))
         # Stable (or not enough profile yet): afford the expensive suite.
-        return list(self._tiers["thorough"]) or list(self._tiers["fast"])
+        return list(members("thorough")) or list(members("fast"))
 
     # ------------------------------------------------------------------
     # Analysis cycle

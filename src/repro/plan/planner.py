@@ -6,7 +6,7 @@ into a :class:`~repro.plan.schedule.MigrationSchedule` in three stages:
 1. **Constraint-safe wave ordering.**  Moves are admitted into the
    earliest wave whose barrier state stays inside the model's
    constraint set, probed through the same incremental
-   ``place``/``undo`` checker protocol the neighborhood-search engine
+   ``place_index``/``undo`` checker protocol the neighborhood-search engine
    uses (:func:`repro.algorithms.search.make_checker`, compiled
    O(1)-``allows`` path when every constraint type compiles).  When no
    single move can go first the planner tries placing interdependent
@@ -53,6 +53,13 @@ _GAIN_EPS = 1e-12
 #: A transfer in flight through the planner: (component, source, target,
 #: kb, staged).
 _Pending = Tuple[str, str, str, float, bool]
+
+
+def _place(checker, component: str, host: str):
+    """Place *component* on *host*, translating ids through ``checker.cm``."""
+    cm = checker.cm
+    return checker.place_index(cm.component_index[component],
+                               cm.host_index[host])
 
 
 def _component_kb(model: DeploymentModel, component: str) -> float:
@@ -368,7 +375,7 @@ class MigrationPlanner:
         for move in list(pending):
             if len(admitted) >= cap:
                 break
-            token = checker.place(move[0], move[2])
+            token = _place(checker, move[0], move[2])
             if checker.violation_count() <= baseline:
                 admitted.append(move)
                 pending.remove(move)
@@ -381,8 +388,8 @@ class MigrationPlanner:
         for i in range(len(pending)):
             for j in range(i + 1, len(pending)):
                 first, second = pending[i], pending[j]
-                token_a = checker.place(first[0], first[2])
-                token_b = checker.place(second[0], second[2])
+                token_a = _place(checker, first[0], first[2])
+                token_b = _place(checker, second[0], second[2])
                 if checker.violation_count() <= baseline:
                     pending.remove(first)
                     pending.remove(second)
@@ -406,7 +413,7 @@ class MigrationPlanner:
                     continue
                 if not candidate_routes(model, buffer_host, target):
                     continue
-                token = checker.place(component, buffer_host)
+                token = _place(checker, component, buffer_host)
                 if checker.violation_count() <= baseline:
                     hop: _Pending = (component, source, buffer_host,
                                      move[3], True)
@@ -432,7 +439,7 @@ class MigrationPlanner:
                 if position.get(component) != source:
                     return False
             for component, __s, target, __kb, __staged in members:
-                checker.place(component, target)
+                _place(checker, component, target)
                 position[component] = target
             if checker.violation_count() > baseline:
                 return False

@@ -430,6 +430,29 @@ class TestKernelRouting:
         assert engine.stats.cache_hits == 1
         assert engine.best_seen() == (Deployment(deployment), value)
 
+    def test_move_delta_adapts_to_the_indexed_delta(self, tiny_model,
+                                                   availability):
+        cm = compiled_model(tiny_model)
+        deployment = dict(tiny_model.deployment)
+        by_id = EvaluationEngine(availability)
+        by_index = EvaluationEngine(availability)
+        delta = by_id.move_delta(tiny_model, deployment, "c1", "hB")
+        assert delta == by_index.move_delta_indexed(
+            tiny_model, cm.encode(deployment), cm.component_index["c1"],
+            cm.host_index["hB"])
+        assert by_id.snapshot() == by_index.snapshot()
+        assert by_id.stats.kernel_deltas == 1
+
+    def test_unknown_host_delta_keeps_object_path(self, tiny_model,
+                                                  availability):
+        engine = EvaluationEngine(availability)
+        deployment = {"c1": "hA", "c2": "hA", "c3": "ghost"}
+        delta = engine.move_delta(tiny_model, deployment, "c1", "hB")
+        assert engine.stats.delta_evaluations == 1
+        assert engine.stats.kernel_deltas == 0
+        assert delta == availability.move_delta(tiny_model, deployment,
+                                                "c1", "hB")
+
     def test_custom_objective_receives_callers_mapping(self, tiny_model):
         seen = []
 

@@ -3,14 +3,17 @@
 The golden fixture (``data/search_determinism_golden.json``) was generated
 by running the portfolio algorithms *before* they were rewired through
 ``repro.algorithms.search.SearchState`` / the compiled constraint checker.
-The tests assert that fixed-seed runs still produce byte-identical
-deployments afterwards, and that the compiled fast path and the object
-constraint path agree move-for-move.
+Each entry also pins the run's value, evaluation count and engine
+counters (``extra["engine"]``, including ``constraint_checks``); those
+fields were generated before the search layer dropped its id-keyed
+checker and state methods.  The tests assert that fixed-seed runs still
+produce byte-identical outcomes, and that the compiled fast path and the
+object constraint path agree move-for-move.
 
 Regenerate the fixture (only when a deliberate behavioural change is being
 made) with::
 
-    PYTHONPATH=src python tests/algorithms/test_search_determinism.py
+    PYTHONPATH=src:. python tests/algorithms/test_search_determinism.py
 """
 
 from __future__ import annotations
@@ -100,6 +103,9 @@ def run_cases():
                         "deployment": dict(sorted(
                             result.deployment.as_dict().items())),
                         "valid": result.valid,
+                        "value": result.value,
+                        "evaluations": result.evaluations,
+                        "engine": result.extra["engine"],
                     }
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import SearchState, greedy_fill_deployment, make_checker
+from repro.algorithms.compiled import UNDEPLOYED
 from repro.algorithms.engine import EvaluationEngine
 from repro.core.constraints import (
     BandwidthConstraint, CollocationConstraint, ConstraintSet,
@@ -88,7 +89,7 @@ def test_best_move_matches_brute_force_along_trajectory(objective_cls,
             break
         state.apply(move[0], move[1])
         reference.apply(move[0], move[1])
-        assert state.mapping == reference.mapping
+        assert state.array == reference.array
 
 
 def test_compiled_and_object_frontiers_take_identical_paths():
@@ -108,7 +109,7 @@ def test_compiled_and_object_frontiers_take_identical_paths():
             break
         for s in states:
             s.apply(moves[0][0], moves[0][1])
-    assert states[0].mapping == states[1].mapping
+    assert states[0].array == states[1].array
     assert states[0].moves == states[1].moves
 
 
@@ -132,24 +133,31 @@ def test_frontier_reuses_cached_deltas():
     assert engine.stats.constraint_checks > 0
 
 
-def test_apply_keeps_checker_mapping_and_array_in_sync():
+def test_apply_keeps_checker_and_array_in_sync():
     model = _model(seed=9)
     constraints = _rich_constraints(model)
     objective = AvailabilityObjective()
-    state = SearchState(model, constraints,
-                        EvaluationEngine(objective, constraints),
-                        model.deployment)
-    for __ in range(6):
-        move = state.best_move()
-        if move is None:
-            break
-        state.apply(move[0], move[1])
-        assert state.satisfied() == constraints.is_satisfied(
-            model, state.mapping)
-        for cid, hid in state.mapping.items():
-            assert state.array[state.component_index(cid)] == \
-                state.host_index(hid)
-    assert len(state.moves) > 0
+    for checked in (constraints, object_path(constraints)):
+        state = SearchState(model, checked,
+                            EvaluationEngine(objective, checked),
+                            model.deployment)
+        cm = state.cm
+        for __ in range(6):
+            move = state.best_move()
+            if move is None:
+                break
+            state.apply(move[0], move[1])
+            # The checker's array is the state's array: one mutation source.
+            assert state.array is state.checker.assignment
+            assert state.array[move[0]] == move[1]
+            assert state.moves[-1] == (cm.component_ids[move[0]],
+                                       cm.host_ids[move[1]])
+            mapping = cm.decode(state.array)
+            assert state.satisfied() == constraints.is_satisfied(model,
+                                                                 mapping)
+            if not state.checker.compiled:
+                assert state.checker.partial == mapping
+        assert len(state.moves) > 0
 
 
 def test_swap_allowed_permits_exact_fit_exchange():
@@ -173,12 +181,13 @@ def test_swap_allowed_permits_exact_fit_exchange():
         state = SearchState(model, constraints,
                             EvaluationEngine(objective, constraints),
                             model.deployment)
-        ya, vb = state.component_index("y"), state.component_index("v")
+        ya, vb = state.cm.component_index["y"], state.cm.component_index["v"]
         assert state.best_move() is None  # both hosts full: no single move
         assert state.swap_allowed(ya, vb)
         state.apply_swap(ya, vb)
-        assert state.mapping["y"] == "h0"
-        assert state.mapping["v"] == "h1"
+        mapping = state.cm.decode(state.array)
+        assert mapping["y"] == "h0"
+        assert mapping["v"] == "h1"
         assert state.satisfied()
 
 
@@ -191,13 +200,17 @@ def test_make_checker_falls_back_for_unknown_constraint_types():
     fallback = make_checker(model, ConstraintSet([Odd()]))
     assert compiled.compiled
     assert not fallback.compiled
-    # Both count their probes.
-    compiled.reset({})
-    fallback.reset({})
-    compiled.allows(model.component_ids[0], model.host_ids[0])
-    fallback.allows(model.component_ids[0], model.host_ids[0])
-    assert compiled.stats.constraint_checks == 1
-    assert fallback.stats.constraint_checks == 1
+    # Both count their probes, place and undo by index, and expose the
+    # same host-index assignment.
+    for checker in (compiled, fallback):
+        checker.reset({})
+        assert checker.allows_index(0, 0)
+        assert checker.stats.constraint_checks == 1
+        token = checker.place_index(0, 0)
+        assert checker.assignment[0] == 0
+        checker.undo(token)
+        assert checker.assignment == [UNDEPLOYED] * checker.cm.n_components
+    assert fallback.partial == {}
 
 
 @pytest.mark.parametrize("compiled", [True, False])
@@ -235,6 +248,20 @@ def test_checkers_reset_from_an_index_list():
         assert checker.violation_count() == by_index
         checker.reset(())
         assert checker.violation_count() == 0
+
+
+def test_checkers_reject_unknown_hosts():
+    model = _model(seed=3, hosts=4, components=8)
+    constraints = _rich_constraints(model)
+    dangling = dict(model.deployment)
+    dangling[model.component_ids[0]] = "ghost"
+    for checker in (make_checker(model, constraints),
+                    make_checker(model, object_path(constraints))):
+        with pytest.raises(ValueError, match="unknown hosts"):
+            checker.reset(dangling)
+    with pytest.raises(ValueError, match="unknown hosts"):
+        SearchState(model, object_path(constraints),
+                    EvaluationEngine(AvailabilityObjective()), dangling)
 
 
 def test_uncompilable_constraints_still_search_correctly():

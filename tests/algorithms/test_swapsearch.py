@@ -84,15 +84,16 @@ class TestSwapSearch:
         state = SearchState(small_model, ConstraintSet(),
                             EvaluationEngine(availability), assignment)
         before = availability.evaluate(small_model, assignment)
-        delta = state.swap_delta(state.component_index(comp_a),
-                                 state.component_index(comp_b))
+        index = state.cm.component_index
+        delta = state.swap_delta(index[comp_a], index[comp_b])
         swapped = dict(assignment)
         swapped[comp_a], swapped[comp_b] = swapped[comp_b], swapped[comp_a]
         after = availability.evaluate(small_model, swapped)
         assert delta == pytest.approx(after - before, abs=1e-12)
         # The probe must not have mutated the working state.
-        assert state.mapping == assignment
-        assert state.mapping[comp_a] != state.mapping[comp_b]
+        mapping = state.cm.decode(state.array)
+        assert mapping == assignment
+        assert mapping[comp_a] != mapping[comp_b]
 
     def test_round_cap(self, availability, memory_constraints, medium_model):
         capped = SwapSearchAlgorithm(availability, memory_constraints,

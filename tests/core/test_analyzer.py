@@ -89,8 +89,8 @@ class TestAlgorithmSuiteManagement:
             "avala", lambda: HillClimbingAlgorithm(
                 analyzer.objective, analyzer.constraints), tier="fast",
             replace=True)
-        assert "avala" in analyzer._tiers["fast"]
-        assert "avala" not in analyzer._tiers["thorough"]
+        assert "avala" in analyzer.registry.members("fast")
+        assert "avala" not in analyzer.registry.members("thorough")
 
     def test_unknown_tier_rejected(self, analyzer):
         with pytest.raises(RegistryError):

@@ -206,8 +206,10 @@ covers where it slots into the search engine.
 
 `repro.algorithms.search` carries one search run's working state:
 `make_checker` wraps either the compiled or the object constraint path
-behind one protocol (`allows`/`place`/`undo`/`satisfied`), and
-`SearchState` maintains the legal-move frontier — cached move deltas,
+behind one index-only protocol
+(`allows_index`/`place_index`/`undo`/`satisfied`, with the host-index
+list `assignment`), and `SearchState`, whose assignment is that list,
+maintains the legal-move frontier — cached move deltas,
 per-row best improving moves, a lazy best-move heap, and dirty-move
 invalidation so a move c: h1->h2 re-scores only rows touching h1, h2,
 or c's logical neighbors (objectives with `local_delta = False`
