@@ -38,7 +38,10 @@ SMOKE = os.environ.get("BENCH_COMPILED_SMOKE", "") not in ("", "0")
 SIZES = [(4, 10), (6, 20)] if SMOKE else [(10, 40), (20, 100), (40, 200)]
 #: Required aggregate (geometric-mean) evaluate speedup at the largest size.
 REQUIRED_SPEEDUP = 1.0 if SMOKE else 3.0
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_compiled.json"
+#: Smoke runs write an untracked file so they never replace the
+#: tracked full-mode results.
+OUTPUT = Path(__file__).resolve().parent.parent / (
+    "BENCH_compiled.smoke.json" if SMOKE else "BENCH_compiled.json")
 MOVES_PER_BATCH = 50
 
 

@@ -42,7 +42,10 @@ SMOKE = os.environ.get("BENCH_PLAN_SMOKE", "") not in ("", "0")
 #: (relay hosts, components); total hosts = relays + source + target.
 SIZES = [(2, 8)] if SMOKE else [(4, 20), (8, 40)]
 REQUIRED_RATIO = 1.0 if SMOKE else 2.0
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
+#: Smoke runs write an untracked file so they never replace the
+#: tracked full-mode results.
+OUTPUT = Path(__file__).resolve().parent.parent / (
+    "BENCH_plan.smoke.json" if SMOKE else "BENCH_plan.json")
 
 DIRECT_BW = 100.0
 RELAY_BW = 60.0

@@ -41,7 +41,10 @@ from conftest import print_table
 
 SMOKE = os.environ.get("BENCH_SEARCH_SMOKE", "") not in ("", "0")
 SIZES = [(4, 10)] if SMOKE else [(6, 20), (10, 40)]
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_search.json"
+#: Smoke runs write an untracked file so they never replace the
+#: tracked full-mode results.
+OUTPUT = Path(__file__).resolve().parent.parent / (
+    "BENCH_search.smoke.json" if SMOKE else "BENCH_search.json")
 MAX_ROUNDS = 1000
 
 

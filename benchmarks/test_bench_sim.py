@@ -54,7 +54,10 @@ DURATION = 6.0 if SMOKE else 8.0
 SIZES = [10.0] if SMOKE else [10.0, 40.0, 100.0, 200.0]
 SCENARIO_SEED = 3
 CAMPAIGN_SEED = 5
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+#: Smoke runs write an untracked file so they never replace the
+#: tracked full-mode results.
+OUTPUT = Path(__file__).resolve().parent.parent / (
+    "BENCH_sim.smoke.json" if SMOKE else "BENCH_sim.json")
 
 
 def churn_plan():

@@ -141,9 +141,10 @@ class Analyzer:
         evaluation_budget: Per-algorithm cap on charged objective
             evaluations per cycle (graceful truncation).
         planner: Optional :class:`repro.plan.MigrationPlanner`; when set,
-            redeploy decisions carry a wave schedule whose predicted
-            makespan and disruption volume feed the guard values.
-        max_makespan: Veto threshold on the schedule's predicted makespan
+            redeploy decisions carry its wave schedule instead of the
+            single-wave naive one.  Either schedule's predicted makespan
+            and disruption volume feed the guard values.
+        max_makespan: Veto threshold on the plan's predicted makespan
             in simulated seconds; ``None`` disables the veto.
     """
 
@@ -345,7 +346,8 @@ class Analyzer:
                                      planner=self.planner)
         except ScheduleError:
             # No constraint-safe wave ordering exists; fall back to the
-            # flat (all-at-once) plan rather than refusing to act.
+            # planner-less plan (one wave enacting the whole target)
+            # rather than refusing to act.
             plan = plan_redeployment(model, selected.deployment, current)
         if plan.unreachable:
             return Decision("no_action",
@@ -353,17 +355,16 @@ class Analyzer:
                             + ", ".join(plan.unreachable),
                             current_value, selected=selected,
                             candidates=ranked, guard_values=guard_values)
-        if plan.schedule is not None:
-            guard_values["predicted_makespan"] = plan.schedule.makespan
-            guard_values["predicted_disruption_kb"] = plan.schedule.total_kb
-            if (self.max_makespan is not None
-                    and plan.schedule.makespan > self.max_makespan):
-                return Decision(
-                    "no_action",
-                    f"predicted makespan {plan.schedule.makespan:.3f} s "
-                    f"exceeds limit {self.max_makespan:.3f} s",
-                    current_value, selected=selected, candidates=ranked,
-                    guard_values=guard_values)
+        guard_values["predicted_makespan"] = plan.schedule.makespan
+        guard_values["predicted_disruption_kb"] = plan.schedule.total_kb
+        if (self.max_makespan is not None
+                and plan.schedule.makespan > self.max_makespan):
+            return Decision(
+                "no_action",
+                f"predicted makespan {plan.schedule.makespan:.3f} s "
+                f"exceeds limit {self.max_makespan:.3f} s",
+                current_value, selected=selected, candidates=ranked,
+                guard_values=guard_values)
         return Decision("redeploy",
                         f"improvement {improvement:.4f} via "
                         f"{selected.algorithm}",

@@ -10,10 +10,14 @@ The platform-dependent half is the Admin/Deployer machinery of
 :mod:`repro.middleware.admin`.  Here live the platform-independent pieces:
 
 * :class:`RedeploymentPlan` — the analyzer's instructions: target
-  deployment, derived move list, and cost estimates (data volume and time)
-  computed from the model's link parameters;
+  deployment, derived move list, data volume, and the
+  :class:`~repro.plan.schedule.MigrationSchedule` that orders the moves
+  into waves and predicts the makespan from the model's link parameters.
+  Every plan has one: a planner-less plan is a single wave that enacts
+  the whole target at once;
 * :class:`Effector` implementations — :class:`MiddlewareEffector` drives a
-  live :class:`~repro.middleware.runtime.DistributedSystem`;
+  live :class:`~repro.middleware.runtime.DistributedSystem` wave by wave,
+  with each completed wave a rollback barrier;
   :class:`ModelEffector` applies a plan to the model only (DeSi's
   hypothetical "what-if" mode, where no real system is attached).
 """
@@ -23,11 +27,10 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.constraints import ConstraintSet
 from repro.core.errors import (
-    EffectorError, MigrationTimeoutError, PreflightError,
+    EffectorError, MigrationError, MigrationTimeoutError, PreflightError,
 )
 from repro.core.model import Deployment, DeploymentModel, Move
 from repro.core.report import ReportBase
@@ -47,16 +50,26 @@ class RedeploymentPlan:
     moves: Tuple[Move, ...]
     #: Total serialized component data to ship, KB.
     estimated_kb: float
-    #: Rough simulated-time estimate of the migration, seconds.
-    estimated_time: float
-    #: Components whose moves cross host pairs with no usable route
-    #: (directly or via one relay).  Non-empty means the plan cannot be
-    #: enacted as stated; the analyzer refuses such plans.
-    unreachable: Tuple[str, ...] = ()
-    #: Optional wave ordering built by :mod:`repro.plan`; when present,
-    #: :class:`MiddlewareEffector` executes wave-by-wave with barrier
-    #: rollback instead of enacting the whole target at once.
-    schedule: Optional["MigrationSchedule"] = None
+    #: The moves ordered into waves, with the predicted makespan; the
+    #: effector executes it wave by wave with barrier rollback.
+    schedule: "MigrationSchedule"
+    #: What each wave of ``schedule`` hands the middleware's ``redeploy``:
+    #: the wave's own moves for a planner-built schedule, the whole target
+    #: for the single wave of a planner-less one.
+    wave_targets: Tuple[Dict[str, str], ...]
+
+    @property
+    def unreachable(self) -> Tuple[str, ...]:
+        """Components whose moves cross host pairs with no usable route
+        (directly or via one relay).  Non-empty means the plan cannot be
+        enacted as stated; the analyzer and the effector refuse it."""
+        return self.schedule.unreachable
+
+    @property
+    def estimated_time(self) -> float:
+        """Predicted simulated seconds of the migration: the schedule's
+        makespan, or infinity when some move has no route."""
+        return float("inf") if self.unreachable else self.schedule.makespan
 
     @property
     def is_noop(self) -> bool:
@@ -65,9 +78,8 @@ class RedeploymentPlan:
     def summary(self) -> str:
         line = (f"RedeploymentPlan({len(self.moves)} moves, "
                 f"~{self.estimated_kb:.1f} KB, "
-                f"~{self.estimated_time:.3f} s")
-        if self.schedule is not None:
-            line += f", {len(self.schedule.waves)} waves"
+                f"~{self.estimated_time:.3f} s, "
+                f"{len(self.schedule.waves)} waves")
         if self.unreachable:
             line += f", {len(self.unreachable)} unreachable"
         return line + ")"
@@ -76,89 +88,40 @@ class RedeploymentPlan:
 def plan_redeployment(model: DeploymentModel,
                       target: Mapping[str, str],
                       current: Optional[Mapping[str, str]] = None,
-                      schedule: bool = False,
-                      constraints: Optional[ConstraintSet] = None,
                       planner: Optional["MigrationPlanner"] = None,
                       ) -> RedeploymentPlan:
     """Build a :class:`RedeploymentPlan` from the model's current deployment
-    to *target*, estimating costs from component sizes and link parameters.
+    to *target*, with the :class:`~repro.plan.schedule.MigrationSchedule`
+    that predicts and orders it.
 
-    The time estimate assumes moves proceed in parallel per source-target
-    host pair: each pair's transfer time is the shipped volume over that
-    pair's bandwidth plus its delay, and the plan completes when the slowest
-    pair does.  Host pairs without a direct link are charged a relay through
-    the most capacious mutual neighbor (the Deployer-mediated path).
+    With a *planner* the schedule is its constraint-safe,
+    bandwidth-packed waves, and each wave enacts only its own moves.
+    Without one it is :func:`~repro.plan.planner.naive_schedule`: every
+    move in one wave on its isolation-best route, enacting the whole
+    target at once.  Either way ``estimated_time`` is the schedule's
+    contention-aware makespan: moves sharing a link share its bandwidth.
 
     Moves whose host pair has no usable route at all — no direct link and
     no relay with positive bandwidth on both legs — are surfaced in
     ``plan.unreachable`` (and leave ``estimated_time`` infinite).
-
-    With ``schedule=True`` (or an explicit *planner*), the plan also
-    carries a :class:`~repro.plan.schedule.MigrationSchedule`: the same
-    delta ordered into constraint-safe, bandwidth-packed waves, which the
-    effector then executes wave-by-wave with barrier rollback.
-    *constraints* bounds the schedule's barrier states; it defaults to
-    the constraints stored on the model.
     """
+    from repro.plan.planner import naive_schedule
     current_deployment = (model.deployment if current is None
                           else Deployment(current))
     target_deployment = Deployment(target)
     moves = current_deployment.diff(target_deployment)
-    total_kb = 0.0
-    pair_kb: Dict[Tuple[str, str], float] = {}
-    for move in moves:
-        size = max(model.component(move.component).memory, 0.1)
-        total_kb += size
-        key = (move.source, move.target)
-        pair_kb[key] = pair_kb.get(key, 0.0) + size
-
-    def pair_time(source: str, destination: str, kb: float) -> float:
-        bandwidth = model.bandwidth(source, destination)
-        delay = model.delay(source, destination)
-        if bandwidth > 0.0 and delay != float("inf"):
-            transfer = 0.0 if bandwidth == float("inf") else kb / bandwidth
-            return delay + transfer
-        # Relay via the best mutual neighbor.
-        best = float("inf")
-        for relay in model.host_ids:
-            if relay in (source, destination):
-                continue
-            bw1 = model.bandwidth(source, relay)
-            bw2 = model.bandwidth(relay, destination)
-            if bw1 <= 0.0 or bw2 <= 0.0:
-                continue
-            leg1 = model.delay(source, relay) + (
-                0.0 if bw1 == float("inf") else kb / bw1)
-            leg2 = model.delay(relay, destination) + (
-                0.0 if bw2 == float("inf") else kb / bw2)
-            best = min(best, leg1 + leg2)
-        return best
-
-    estimated_time = 0.0
-    pair_times: Dict[Tuple[str, str], float] = {}
-    for (source, destination), kb in pair_kb.items():
-        pair_times[(source, destination)] = pair_time(source, destination,
-                                                      kb)
-        estimated_time = max(estimated_time,
-                             pair_times[(source, destination)])
-    # An infinite pair time means no route exists at all: surface the
-    # affected components explicitly instead of hiding them behind the
-    # aggregate estimate.
-    unreachable = tuple(sorted(
-        move.component for move in moves
-        if pair_times[(move.source, move.target)] == float("inf")))
-
-    wave_schedule: Optional["MigrationSchedule"] = None
-    if planner is not None or schedule:
-        if planner is None:
-            from repro.plan.planner import MigrationPlanner
-            planner = MigrationPlanner(model, constraints=constraints)
-        wave_schedule = planner.schedule(target_deployment.as_dict(),
-                                         current=current_deployment.as_dict())
-    return RedeploymentPlan(current_deployment, target_deployment,
-                            moves, total_kb, estimated_time,
-                            unreachable=unreachable,
-                            schedule=wave_schedule)
+    total_kb = sum((max(model.component(move.component).memory, 0.1)
+                    for move in moves), 0.0)
+    current_map = current_deployment.as_dict()
+    target_map = target_deployment.as_dict()
+    if planner is not None:
+        schedule = planner.schedule(target_map, current=current_map)
+        wave_targets = tuple(wave.placements() for wave in schedule.waves)
+    else:
+        schedule = naive_schedule(model, target_map, current=current_map)
+        wave_targets = (target_map,) if schedule.waves else ()
+    return RedeploymentPlan(current_deployment, target_deployment, moves,
+                            total_kb, schedule, wave_targets)
 
 
 @dataclass
@@ -171,9 +134,10 @@ class EffectReport(ReportBase):
     sim_duration: float = 0.0
     kb_transferred: float = 0.0
     detail: Dict[str, Any] = field(default_factory=dict)
-    #: How many times the whole plan was retried after a failed attempt.
+    #: How many failed wave attempts were retried, over all waves.
     retries: int = 0
-    #: Whether a failed plan was rolled back to the pre-plan deployment.
+    #: Whether a failed plan was rolled back to its last barrier (the
+    #: pre-plan deployment if no wave had completed).
     rolled_back: bool = False
 
     def summary_line(self) -> str:
@@ -195,9 +159,8 @@ class EffectReport(ReportBase):
         }
         if self.plan.unreachable:
             plan["unreachable"] = list(self.plan.unreachable)
-        if self.plan.schedule is not None:
-            plan["waves"] = len(self.plan.schedule.waves)
-            plan["predicted_makespan"] = self.plan.schedule.makespan
+        plan["waves"] = len(self.plan.schedule.waves)
+        plan["predicted_makespan"] = self.plan.schedule.makespan
         return {
             "plan": plan,
             "succeeded": self.succeeded,
@@ -291,10 +254,15 @@ class MiddlewareEffector(Effector):
       Deployer re-requests only still-missing components, sources keep a
       serialized copy until the receiver's ack, and receivers discard
       duplicate transfers while re-acking;
-    * when retries are exhausted and ``transactional`` is set, the plan is
-      rolled back to the exact pre-plan deployment (limbo components are
-      restored to their sources first), so the system is never left
-      somewhere between two deployments.
+    * plans run wave by wave; when a wave's retries are
+      exhausted and ``transactional`` is set, the system is rolled back to
+      the exact state after the last completed wave (limbo components are
+      restored to their sources first), so it is never left somewhere
+      between two barriers.  A planner-less plan is one wave, so its
+      barrier is the pre-plan deployment;
+    * plans with an unroutable move (``plan.unreachable``) are refused
+      with :class:`~repro.core.errors.MigrationError` before anything is
+      enacted.
 
     What was retried and rolled back is reported in the
     :class:`EffectReport` (``retries``/``rolled_back`` plus ``detail``),
@@ -354,82 +322,13 @@ class MiddlewareEffector(Effector):
             report = EffectReport(plan, True, 0)
             self.history.append(report)
             return report
-        scheduled = plan.schedule is not None and bool(plan.schedule.waves)
         with self.obs.span("effector.effect",
                            moves=len(plan.moves)) as span:
-            if scheduled:
-                report = self._effect_schedule(plan, force)
-            else:
-                report = self._effect(plan, force)
+            report = self._execute(plan, force)
             span.set(succeeded=report.succeeded, retries=report.retries,
                      kb=report.kb_transferred)
         return report
 
-    def _effect(self, plan: RedeploymentPlan,
-                force: bool = False) -> EffectReport:
-        self.preflight(self.system.model, plan, force=force)
-        self._c_migrations.inc()
-        clock = self.system.clock
-        started = clock.now
-        pre_state = dict(self.system.actual_deployment())
-        retries = 0
-        backoffs: list = []
-        last_error: EffectorError
-        while True:
-            try:
-                stats = self.system.redeploy(plan.target.as_dict(),
-                                             max_wait=self.max_wait)
-            except EffectorError as exc:
-                last_error = exc
-                if retries >= self.max_retries:
-                    break
-                delay = self._backoff(retries)
-                retries += 1
-                self._c_retries.inc()
-                backoffs.append(delay)
-                clock.run(delay)  # heal window: partitions may come back
-                continue
-            report = EffectReport(
-                plan, True, stats["moves"],
-                sim_duration=clock.now - started,
-                kb_transferred=stats["kb_transferred"],
-                retries=retries,
-                detail={"backoffs": tuple(backoffs)} if backoffs else {},
-            )
-            self.history.append(report)
-            self._c_moves.inc(report.moves_executed)
-            self._h_kb.observe(report.kb_transferred)
-            self._h_duration.observe(report.sim_duration)
-            return report
-        # Retries exhausted: roll back to the pre-plan deployment.
-        detail: Dict[str, Any] = {"error": str(last_error),
-                                  "backoffs": tuple(backoffs)}
-        rolled_back = False
-        if self.transactional:
-            try:
-                restored = self.system.reset_redeployment()
-                self.system.redeploy(pre_state, max_wait=self.max_wait)
-                rolled_back = True
-                detail["restored_in_place"] = restored
-            except EffectorError as rollback_exc:
-                detail["rollback_error"] = str(rollback_exc)
-        report = EffectReport(
-            plan, False, 0, sim_duration=clock.now - started,
-            retries=retries, rolled_back=rolled_back, detail=detail)
-        self.history.append(report)
-        self._c_failures.inc()
-        if rolled_back:
-            self._c_rollbacks.inc()
-        raise MigrationTimeoutError(
-            f"{plan.summary()} failed after {retries} retr"
-            f"{'y' if retries == 1 else 'ies'}"
-            f"{' (rolled back)' if rolled_back else ''}: {last_error}",
-            pending=getattr(last_error, "pending", None),
-            report=report) from last_error
-
-    # ------------------------------------------------------------------
-    # Wave-by-wave orchestration (plans carrying a MigrationSchedule)
-    # ------------------------------------------------------------------
     def _run_wave(self, wave_target: Mapping[str, str],
                   backoffs: list) -> Tuple[Optional[Dict[str, Any]],
                                            Optional[EffectorError], int]:
@@ -454,24 +353,33 @@ class MiddlewareEffector(Effector):
                 backoffs.append(delay)
                 clock.run(delay)  # heal window: partitions may come back
 
-    def _effect_schedule(self, plan: RedeploymentPlan,
-                         force: bool = False) -> EffectReport:
-        """Execute ``plan.schedule`` wave-by-wave.
+    def _execute(self, plan: RedeploymentPlan,
+                 force: bool = False) -> EffectReport:
+        """Execute ``plan.schedule`` wave by wave.
 
         Every completed wave is a **rollback barrier**: when a wave's
         retry budget runs out the effector restores the last barrier
-        state (not the pre-plan deployment), then — if it has a
-        ``planner`` — rebuilds the remaining schedule from the barrier
-        toward the plan's target and keeps going, up to ``max_replans``
-        times.  Progress made before the failed wave is never reverted.
+        state (the pre-plan deployment if no wave has completed), then —
+        if it has a ``planner`` — rebuilds the remaining schedule from the
+        barrier toward the plan's target and keeps going, up to
+        ``max_replans`` times.  Progress made before the failed wave is
+        never reverted.  A planner-less plan is one wave, so its failure
+        rolls the whole plan back.
         """
         self.preflight(self.system.model, plan, force=force)
+        if plan.unreachable:
+            message = (f"refusing to enact {plan.summary()}: no usable "
+                       f"route for {', '.join(plan.unreachable)}")
+            self.history.append(EffectReport(plan, False, 0,
+                                             detail={"error": message}))
+            self._c_failures.inc()
+            raise MigrationError(message)
         self._c_migrations.inc()
         clock = self.system.clock
         started = clock.now
         pre_state = dict(self.system.actual_deployment())
         schedule = plan.schedule
-        assert schedule is not None
+        wave_targets = plan.wave_targets
         barrier = dict(pre_state)
         backoffs: list = []
         moves_executed = 0
@@ -481,12 +389,11 @@ class MiddlewareEffector(Effector):
         barrier_rollbacks = 0
         replans = 0
         last_error: Optional[EffectorError] = None
-        rollback_error: Optional[str] = None
+        rollback_detail: Dict[str, Any] = {}
         while True:
             failed = False
-            for wave in schedule.waves:
-                wave_target = {move.component: move.target
-                               for move in wave.moves}
+            for wave, wave_target in zip(schedule.waves, wave_targets,
+                                         strict=True):
                 with self.obs.span("plan.wave", index=wave.index,
                                    moves=len(wave.moves)) as wave_span:
                     stats, error, retries = self._run_wave(wave_target,
@@ -526,13 +433,14 @@ class MiddlewareEffector(Effector):
             rolled = False
             if self.transactional:
                 try:
-                    self.system.reset_redeployment()
+                    restored = self.system.reset_redeployment()
                     self.system.redeploy(barrier, max_wait=self.max_wait)
                     rolled = True
                     barrier_rollbacks += 1
                     self._c_barrier_rollbacks.inc()
+                    rollback_detail = {"restored_in_place": restored}
                 except EffectorError as rollback_exc:
-                    rollback_error = str(rollback_exc)
+                    rollback_detail = {"rollback_error": str(rollback_exc)}
             if rolled and self.planner is not None \
                     and replans < self.max_replans:
                 replans += 1
@@ -540,6 +448,8 @@ class MiddlewareEffector(Effector):
                 schedule = self.planner.schedule(
                     plan.target.as_dict(),
                     current=dict(self.system.actual_deployment()))
+                wave_targets = tuple(wave.placements()
+                                     for wave in schedule.waves)
                 barrier = dict(self.system.actual_deployment())
                 continue
             break
@@ -555,11 +465,10 @@ class MiddlewareEffector(Effector):
             "progress_components": progress,
             "barrier_rollbacks": barrier_rollbacks,
             "replans": replans,
+            **rollback_detail,
         }
         if backoffs:
             detail["backoffs"] = tuple(backoffs)
-        if rollback_error is not None:
-            detail["rollback_error"] = rollback_error
         report = EffectReport(
             plan, False, moves_executed,
             sim_duration=clock.now - started,

@@ -274,9 +274,9 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
             the baseline for the with/without-redeployment experiment.
         system_factory: Optional ``(clock, seed) -> DistributedSystem``
             override for custom topologies (tests use tiny ones).
-        planner: Run redeployments through :mod:`repro.plan` wave
-            scheduling (barrier rollback + re-planning) instead of the
-            naive all-at-once effector path; the planner-vs-naive contrast
+        planner: Plan redeployments with :mod:`repro.plan`'s multi-wave
+            schedules (per-wave barrier rollback + re-planning) instead
+            of single-wave naive plans; the planner-vs-naive contrast
             under the same fault plan and seed is the headline experiment
             of ``docs/PLANNING.md``.
         effector_options: Extra :class:`MiddlewareEffector` keyword

@@ -165,8 +165,7 @@ class UnreachableMoveRule(ScheduleRule):
                         yield self.finding(
                             f"route leg {a}-{b} has no positive-bandwidth "
                             f"link", subject=subject, leg=[a, b])
-            for move in wave.moves:
-                state[move.component] = move.target
+            state.update(wave.placements())
 
 
 #: The built-in schedule verifier rules, in rule-id order.

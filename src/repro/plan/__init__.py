@@ -11,7 +11,8 @@ failure restores only the last barrier and re-plans from there.
 Entry points:
 
 * :class:`MigrationPlanner` / :func:`build_schedule` — build a schedule;
-* :func:`naive_schedule` — the all-at-once contrast case;
+* :func:`naive_schedule` — the single all-at-once wave every planner-less
+  :class:`~repro.core.effector.RedeploymentPlan` carries;
 * :func:`repro.lint.verify_schedule` — static verification (PL001–PL003);
 * ``python -m repro plan`` — build, render, lint, and diff schedules.
 

@@ -27,10 +27,11 @@ into a :class:`~repro.plan.schedule.MigrationSchedule` in three stages:
    while every barrier state stays feasible (re-verified by replay
    through the checker).
 
-:func:`naive_schedule` builds the contrast case — every move at once,
-each on the route it would pick in isolation — which is exactly the
-flat ``RedeploymentPlan`` estimate made contention-aware; benchmarks
-and the fault-campaign harness compare the two.
+:func:`naive_schedule` builds the planner-less schedule — every move
+at once, each on the route it would pick in isolation, priced with the
+resulting link contention.  It is what
+:func:`~repro.core.effector.plan_redeployment` attaches when no planner
+is given, and the baseline the benchmarks compare the planner against.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _place(checker, component: str, host: str):
 
 
 def _component_kb(model: DeploymentModel, component: str) -> float:
-    """Serialized size shipped per hop (matches the flat plan estimate)."""
+    """Serialized size shipped per hop (matches the plan's ``estimated_kb``)."""
     return max(model.component(component).memory, 0.1)
 
 
@@ -506,13 +507,15 @@ def build_schedule(model: DeploymentModel, target: Mapping[str, str],
 def naive_schedule(model: DeploymentModel, target: Mapping[str, str],
                    current: Optional[Mapping[str, str]] = None,
                    ) -> MigrationSchedule:
-    """The all-at-once contrast case: every move in a single wave, each
-    on the route it would pick in isolation, with the wave's duration
-    honestly accounting for the resulting link contention.
+    """The all-at-once schedule: every move in a single wave, each on the
+    route it would pick in isolation, with the wave's duration honestly
+    accounting for the resulting link contention.
 
-    This is the flat :func:`~repro.core.effector.plan_redeployment`
-    estimate made contention-aware — what actually happens when the
-    whole delta is shipped in one shot over the obvious paths.
+    This is the schedule of a planner-less
+    :func:`~repro.core.effector.plan_redeployment` — what actually
+    happens when the whole delta is shipped in one shot over the obvious
+    paths.  Moves with no route are left out of the wave and listed in
+    ``unreachable``.
     """
     current_map = (model.deployment.as_dict() if current is None
                    else dict(current))

@@ -1,22 +1,26 @@
 """The migration-schedule data model.
 
-A :class:`MigrationSchedule` is the planner's answer to "how do we get
-from *current* to *target* safely?": the flat move set of a
+A :class:`MigrationSchedule` answers "how do we get from *current* to
+*target*?": the move set of a
 :class:`~repro.core.effector.RedeploymentPlan` ordered into **waves**.
-Moves inside one wave transfer concurrently; waves execute strictly in
-sequence, and the deployment reached after each wave — its **barrier
-state** — is required to satisfy the model's constraint set.  Barriers
-are also the rollback unit: when a wave fails mid-flight the effector
-restores the last barrier state instead of reverting the whole plan
-(see :meth:`~repro.core.effector.MiddlewareEffector.effect` and
+Every plan carries one — the planner's constraint-safe waves, or without
+a planner the single all-at-once wave of
+:func:`~repro.plan.planner.naive_schedule`.  Moves inside one wave
+transfer concurrently; waves execute strictly in sequence, and the
+deployment reached after each wave — its **barrier state** — is, for a
+planner-built schedule, required to satisfy the model's constraint set.
+Barriers are also the rollback unit: when a wave fails mid-flight the
+effector restores the last barrier state, so a single-wave plan is
+rolled back whole (see
+:meth:`~repro.core.effector.MiddlewareEffector.effect` and
 ``docs/PLANNING.md``).
 
 Every move carries the **route** its prediction was packed against: a
 host path ``(source, ..., target)`` of length 2 (direct link) or 3
 (relayed through the Deployer-mediated path).  Per-wave predicted
 durations charge each physical link with the total volume routed over
-it, so the schedule's ``makespan`` reflects link contention — unlike
-the flat plan's slowest-pair estimate.
+it, so the schedule's ``makespan`` reflects link contention; it is the
+plan's ``estimated_time``.
 
 The schedule is a plain-data :class:`~repro.core.report.Report`: it
 serializes to canonical JSON (``to_json``), round-trips via
@@ -82,6 +86,10 @@ class Wave:
     #: the wave under the recorded route packing.
     eta: float = 0.0
 
+    def placements(self) -> Dict[str, str]:
+        """Where the wave leaves each component it moves."""
+        return {move.component: move.target for move in self.moves}
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "index": self.index,
@@ -131,16 +139,14 @@ class MigrationSchedule(ReportBase):
                 f"({len(self.waves)} waves)")
         state = dict(self.current)
         for wave in self.waves[:wave_index + 1]:
-            for move in wave.moves:
-                state[move.component] = move.target
+            state.update(wave.placements())
         return state
 
     def barrier_states(self) -> Iterator[Dict[str, str]]:
         """Yield the deployment after each wave, in order."""
         state = dict(self.current)
         for wave in self.waves:
-            for move in wave.moves:
-                state[move.component] = move.target
+            state.update(wave.placements())
             yield dict(state)
 
     def final_state(self) -> Dict[str, str]:

@@ -207,7 +207,6 @@ class TestPlanGuards:
                                                       constraints))
         decision = scheduled.analyze(tiny_model)
         assert decision.will_redeploy
-        assert decision.plan.schedule is not None
         assert decision.guard_values["predicted_makespan"] \
             == pytest.approx(decision.plan.schedule.makespan)
         assert decision.guard_values["predicted_disruption_kb"] \
@@ -218,17 +217,25 @@ class TestPlanGuards:
         tiny_model.deploy("c1", "hA")
         tiny_model.deploy("c2", "hB")
         constraints = ConstraintSet([MemoryConstraint()])
-        picky = Analyzer(AvailabilityObjective(), constraints, seed=5,
-                         planner=MigrationPlanner(tiny_model, constraints),
-                         max_makespan=1e-9)
-        decision = picky.analyze(tiny_model)
-        assert not decision.will_redeploy
-        assert "exceeds limit" in decision.reason
-        assert "predicted_makespan" in decision.guard_values
+        # The veto reads every plan's schedule, planner-built or naive.
+        for planner in (MigrationPlanner(tiny_model, constraints), None):
+            picky = Analyzer(AvailabilityObjective(), constraints, seed=5,
+                             planner=planner, max_makespan=1e-9)
+            decision = picky.analyze(tiny_model)
+            assert not decision.will_redeploy
+            assert "exceeds limit" in decision.reason
+            assert "predicted_makespan" in decision.guard_values
 
-    def test_without_planner_no_schedule_guards(self, analyzer, tiny_model):
+    def test_without_planner_records_naive_makespan(self, analyzer,
+                                                    tiny_model):
+        from repro.plan import naive_schedule
         tiny_model.deploy("c1", "hA")
         tiny_model.deploy("c2", "hB")
         decision = analyzer.analyze(tiny_model)
         assert decision.will_redeploy
-        assert "predicted_makespan" not in decision.guard_values
+        naive = naive_schedule(tiny_model, decision.plan.target.as_dict())
+        assert len(decision.plan.schedule.waves) == 1
+        assert decision.guard_values["predicted_makespan"] \
+            == pytest.approx(naive.makespan)
+        assert decision.guard_values["predicted_disruption_kb"] \
+            == pytest.approx(naive.total_kb)

@@ -5,9 +5,13 @@ import pytest
 from repro.core.effector import (
     ModelEffector, MiddlewareEffector, plan_redeployment,
 )
-from repro.core.errors import EffectorError, LintError, PreflightError
+from repro.core.errors import (
+    EffectorError, LintError, MigrationError, PreflightError,
+)
 from repro.core.model import Deployment, DeploymentModel
 from repro.middleware import DistributedSystem
+from repro.obs import Observability
+from repro.plan import MigrationPlanner
 from repro.sim import SimClock
 
 
@@ -32,10 +36,11 @@ class TestPlanRedeployment:
         assert plan.estimated_time == pytest.approx(0.11)
 
     def test_parallel_pairs_take_max(self, tiny_model):
-        # c1: hA->hB (10KB) and c3: hB->hA (10KB) proceed in parallel.
+        # c1: hA->hB (10KB) and c3: hB->hA (10KB) proceed in parallel but
+        # share the one hA-hB link: delay 0.01 + 20 KB / 100 KB/s = 0.21.
         target = {"c1": "hB", "c2": "hA", "c3": "hA"}
         plan = plan_redeployment(tiny_model, target)
-        assert plan.estimated_time == pytest.approx(0.11)
+        assert plan.estimated_time == pytest.approx(0.21)
         assert plan.estimated_kb == pytest.approx(20.0)
 
     def test_relay_path_when_no_direct_link(self):
@@ -66,11 +71,13 @@ class TestPlanRedeployment:
                                  {"c1": "hB", "c2": "hA", "c3": "hB"})
         assert plan.unreachable == ()
 
-    def test_schedule_flag_attaches_wave_schedule(self, tiny_model):
+    def test_planner_attaches_wave_schedule(self, tiny_model):
         target = {"c1": "hB", "c2": "hA", "c3": "hB"}
-        assert plan_redeployment(tiny_model, target).schedule is None
-        plan = plan_redeployment(tiny_model, target, schedule=True)
-        assert plan.schedule is not None
+        naive = plan_redeployment(tiny_model, target).schedule
+        assert naive.detail["strategy"] == "naive-all-at-once"
+        plan = plan_redeployment(tiny_model, target,
+                                 planner=MigrationPlanner(tiny_model))
+        assert "strategy" not in plan.schedule.detail
         assert plan.schedule.final_state() == target
         assert "waves" in plan.summary()
 
@@ -180,12 +187,32 @@ class TestMiddlewareEffector:
             effector.effect(plan)
         assert effector.history[-1].succeeded is False
 
+    def test_unreachable_plan_is_refused_before_enacting(self):
+        model = DeploymentModel()
+        model.add_host("a", memory=100.0)
+        model.add_host("b", memory=100.0)
+        model.add_component("x", memory=5.0)
+        model.deploy("x", "a")
+        clock = SimClock()
+        system = DistributedSystem(model, clock, master_host="a", seed=1)
+        obs = Observability()
+        effector = MiddlewareEffector(system, obs=obs)
+        plan = plan_redeployment(model, {"x": "b"})
+        assert plan.schedule.waves == ()
+        with pytest.raises(MigrationError, match="no usable route for x"):
+            effector.effect(plan)
+        assert clock.now == 0.0
+        assert system.actual_deployment() == {"x": "a"}
+        assert effector.history[-1].succeeded is False
+        assert obs.counter("effector.failures").value == 1
+
     def test_report_dict_carries_schedule_and_unreachable(self, tiny_model):
         clock = SimClock()
         system = DistributedSystem(tiny_model, clock, seed=4)
         effector = MiddlewareEffector(system)
         target = {"c1": "hB", "c2": "hB", "c3": "hB"}
-        plan = plan_redeployment(tiny_model, target, schedule=True)
+        plan = plan_redeployment(tiny_model, target,
+                                 planner=MigrationPlanner(tiny_model))
         data = effector.effect(plan).to_dict()
         assert data["plan"]["waves"] == len(plan.schedule.waves)
         assert data["plan"]["predicted_makespan"] == pytest.approx(

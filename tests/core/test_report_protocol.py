@@ -15,6 +15,7 @@ from repro.decentralized.agent import RoundReport
 from repro.desi.batch import ExperimentReport
 from repro.faults.report import ResilienceReport
 from repro.lint.core import LintReport
+from repro.plan import MigrationSchedule
 
 
 def make_result():
@@ -25,9 +26,12 @@ def make_result():
 
 
 def make_plan():
+    schedule = MigrationSchedule(current={"c": "h"}, target={"c": "g"},
+                                 waves=(), makespan=0.1, total_kb=1.0)
     return RedeploymentPlan(current=Deployment({"c": "h"}),
                             target=Deployment({"c": "g"}),
-                            moves=(), estimated_kb=1.0, estimated_time=0.1)
+                            moves=(), estimated_kb=1.0, schedule=schedule,
+                            wave_targets=())
 
 
 def make_effect():

@@ -44,7 +44,8 @@ def cut_c_fault(system, model):
 class TestWaveExecution:
     def test_schedule_executes_and_reports_wave_detail(self):
         model, __, system = triangle_world()
-        plan = plan_redeployment(model, TARGET, schedule=True)
+        plan = plan_redeployment(model, TARGET,
+                                 planner=MigrationPlanner(model))
         effector = MiddlewareEffector(system, seed=1)
         report = effector.effect(plan)
         assert report.succeeded
@@ -60,7 +61,7 @@ class TestWaveExecution:
     def test_noop_schedule_short_circuits(self):
         model, __, system = triangle_world()
         plan = plan_redeployment(model, {"x": "a", "y": "a"},
-                                 schedule=True)
+                                 planner=MigrationPlanner(model))
         report = MiddlewareEffector(system, seed=1).effect(plan)
         assert report.succeeded and report.moves_executed == 0
 
@@ -84,7 +85,8 @@ class TestAcceptanceDemo:
         # failure of y's transfer reverted it too.
         assert dict(system.actual_deployment()) == {"x": "a", "y": "a"}
         assert excinfo.value.report.rolled_back
-        assert "rollback_scope" not in excinfo.value.report.detail
+        assert excinfo.value.report.detail["waves_completed"] == 0
+        assert excinfo.value.report.detail["progress_components"] == 0
 
     def test_wave_barriers_complete_through_the_same_fault(self):
         model, __, system = triangle_world()
@@ -175,10 +177,44 @@ class TestBarrierFailure:
     def test_failure_without_planner_stops_at_barrier(self):
         model, __, ___ = triangle_world()
         system = _FailingWaveSystem(model, poison="y")
-        plan = plan_redeployment(model, TARGET, schedule=True)
+        plan = plan_redeployment(model, TARGET,
+                                 planner=MigrationPlanner(model))
         effector = MiddlewareEffector(system, max_retries=0,
                                       backoff_base=0.0, jitter=0.0, seed=1)
         with pytest.raises(MigrationTimeoutError) as excinfo:
             effector.effect(plan)
         assert excinfo.value.report.detail["replans"] == 0
         assert system.actual_deployment()["y"] == "a"
+
+
+class _RecordingSystem(_FailingWaveSystem):
+    """Stub system that records the target of every ``redeploy`` call."""
+
+    def __init__(self, model):
+        super().__init__(model, poison=None)
+        self.targets = []
+
+    def redeploy(self, target, max_wait=None):
+        self.targets.append(dict(target))
+        return super().redeploy(target, max_wait=max_wait)
+
+
+class TestEnactmentTargets:
+    def test_planner_less_plan_enacts_the_whole_target(self):
+        model, __, ___ = triangle_world()
+        system = _RecordingSystem(model)
+        # y stays on a: the whole target still names it.
+        plan = plan_redeployment(model, {"x": "b", "y": "a"})
+        MiddlewareEffector(system, seed=1).effect(plan)
+        assert system.targets == [plan.target.as_dict()]
+
+    def test_planner_waves_enact_only_their_own_moves(self):
+        model, __, ___ = triangle_world()
+        system = _RecordingSystem(model)
+        planner = MigrationPlanner(model, max_wave_moves=1)
+        plan = plan_redeployment(model, TARGET, planner=planner)
+        MiddlewareEffector(system, seed=1).effect(plan)
+        assert len(plan.schedule.waves) == 2
+        assert system.targets == [
+            {move.component: move.target for move in wave.moves}
+            for wave in plan.schedule.waves]
