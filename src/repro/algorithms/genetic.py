@@ -50,12 +50,11 @@ class GeneticAlgorithm(DeploymentAlgorithm):
 
         Feasible individuals rank above all infeasible ones; among
         infeasible ones, fewer violations is fitter.  The individual is
-        encoded once: the checker is rebound from, and the engine scores,
-        the same host-index list.
+        encoded once: the checker counts the violations of, and the engine
+        scores, the same host-index list; the checker is not rebound.
         """
         assignment = checker.cm.encode(individual)
-        checker.reset(assignment)
-        violations = checker.violation_count()
+        violations = checker.violation_count(assignment)
         value = self._evaluate_encoded(model, assignment)
         adjusted = value if self.objective.direction == "max" else -value
         return (-violations, adjusted)

@@ -16,7 +16,11 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   as a host-index list (``checker.assignment``); callers translate ids
   through ``checker.cm`` at their edges.  Both count their queries into
   ``EvaluationStats.constraint_checks``, and are equivalent by
-  construction/property test.
+  construction/property test.  ``swap_allows`` (swap feasibility) is
+  arithmetic on the compiled set's loads for memory, CPU and location
+  terms, and the place/probe/undo sequence otherwise, with the same
+  answers and charges; ``violation_count(assignment)`` counts an index
+  list without rebinding.
 
 * **Legal-move frontier with dirty-move invalidation.**  The frontier
   caches each component's best improving move and the per-move deltas.
@@ -59,6 +63,28 @@ from repro.core.model import DeploymentModel
 #: Minimum gain for a move to count as strictly improving (matches the
 #: historical scan-loop tolerance).
 GAIN_EPS = 1e-12
+
+
+def _probe_swap(checker, ca: int, cb: int) -> bool:
+    """Swap feasibility by the probe sequence (place, allows, undo).
+
+    *ca* must be allowed on *cb*'s host with *cb* removed (one check),
+    then the exchanged state must satisfy the set (a second check); both
+    trial placements are undone.  Each side is thus judged with the other
+    hypothetically removed, so exact-fit exchanges pass.
+    """
+    ha, hb = checker.assignment[ca], checker.assignment[cb]
+    removed = checker.place_index(cb, UNDEPLOYED)
+    ok = checker.allows_index(ca, hb)
+    checker.undo(removed)
+    if not ok:
+        return False
+    first = checker.place_index(ca, hb)
+    second = checker.place_index(cb, ha)
+    ok = checker.satisfied_partial()
+    checker.undo(second)
+    checker.undo(first)
+    return ok
 
 
 class ObjectConstraintChecker:
@@ -135,9 +161,21 @@ class ObjectConstraintChecker:
         self.stats.constraint_checks += 1
         return self.constraints.is_satisfied_partial(self.model, self.partial)
 
-    def violation_count(self) -> int:
+    def swap_allows(self, ca: int, cb: int) -> bool:
+        """Feasibility of exchanging *ca* and *cb*, by the probe sequence."""
+        return _probe_swap(self, ca, cb)
+
+    def violation_count(self, assignment: Optional[Sequence[int]] = None,
+                        ) -> int:
+        """Violations of the bound state, or of *assignment*.
+
+        *assignment* holds a host index or ``UNDEPLOYED`` per component;
+        counting it leaves the bound state untouched.
+        """
         self.stats.constraint_checks += 1
-        return len(self.constraints.violations(self.model, self.partial))
+        partial = (self.partial if assignment is None
+                   else self.cm.decode(assignment))
+        return len(self.constraints.violations(self.model, partial))
 
 
 class CompiledConstraintChecker:
@@ -155,6 +193,7 @@ class CompiledConstraintChecker:
         self.probe_index = compiled_set.allows
         self.place_index = compiled_set.place
         self.undo = compiled_set.undo
+        self._swap_arithmetic = compiled_set.swap_by_arithmetic
 
     @property
     def assignment(self) -> List[int]:
@@ -178,9 +217,37 @@ class CompiledConstraintChecker:
         self.stats.constraint_checks += 1
         return self.ccs.satisfied_partial()
 
-    def violation_count(self) -> int:
+    def swap_allows(self, ca: int, cb: int) -> bool:
+        """Feasibility of exchanging *ca* and *cb*.
+
+        Arithmetic on the bound state when the set has only memory, CPU
+        and location terms and both sides are deployed on distinct hosts;
+        the probe sequence (:func:`_probe_swap`) otherwise.  Either way
+        the answer, the checks charged (one when *ca* does not fit, two
+        otherwise) and the state afterwards are the probe sequence's.
+        """
+        ccs = self.ccs
+        assignment = ccs.assignment
+        ha, hb = assignment[ca], assignment[cb]
+        if (not self._swap_arithmetic or ha == hb or ha == UNDEPLOYED
+                or hb == UNDEPLOYED):
+            return _probe_swap(self, ca, cb)
+        stats = self.stats
+        stats.constraint_checks += 1
+        if not ccs.swap_enters(ca, cb):
+            return False
+        stats.constraint_checks += 1
+        return ccs.swap_satisfied(ca, cb)
+
+    def violation_count(self, assignment: Optional[Sequence[int]] = None,
+                        ) -> int:
+        """Violations of the bound state, or of *assignment*.
+
+        *assignment* holds a host index or ``UNDEPLOYED`` per component;
+        counting it leaves the bound state untouched.
+        """
         self.stats.constraint_checks += 1
-        return self.ccs.violation_count()
+        return self.ccs.violation_count(assignment)
 
 
 def make_checker(model: DeploymentModel, constraints: ConstraintSet,
@@ -304,18 +371,7 @@ class SearchState:
     def swap_allowed(self, ca: int, cb: int) -> bool:
         """Feasibility of exchanging *ca* and *cb* (each side checked with
         the other hypothetically removed — exact-fit exchanges pass)."""
-        ha, hb = self.array[ca], self.array[cb]
-        removed = self.checker.place_index(cb, UNDEPLOYED)
-        ok = self.checker.allows_index(ca, hb)
-        self.checker.undo(removed)
-        if not ok:
-            return False
-        first = self.checker.place_index(ca, hb)
-        second = self.checker.place_index(cb, ha)
-        ok = self.checker.satisfied_partial()
-        self.checker.undo(second)
-        self.checker.undo(first)
-        return ok
+        return self.checker.swap_allows(ca, cb)
 
     def swap_delta(self, ca: int, cb: int) -> float:
         """Objective delta of the exchange: two sequential move deltas."""

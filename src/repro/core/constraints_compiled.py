@@ -11,10 +11,16 @@ is the constraint-side counterpart of :mod:`repro.algorithms.compiled`:
 vectors, location bitmasks, collocation group tallies (merged into
 invalidation groups by union-find), and bandwidth demand accumulators — is
 updated in O(degree) per :meth:`~CompiledConstraintSet.place` and queried in
-O(1) per :meth:`~CompiledConstraintSet.allows`.
+O(1) per :meth:`~CompiledConstraintSet.allows`.  A pairwise swap over memory,
+CPU and location terms is judged without moving anything
+(:meth:`~CompiledConstraintSet.swap_enters`,
+:meth:`~CompiledConstraintSet.swap_satisfied`): the loads two ``place`` calls
+would write are computed in the same operand order, so the answers are those
+of the place/probe/undo sequence.
 
 Exactness contract (property-tested in
-``tests/core/test_constraints_compiled.py``): for any assignment reachable
+``tests/core/test_constraints_compiled.py``; swaps in
+``tests/algorithms/test_swap_allows.py``): for any assignment reachable
 by ``bind``/``place``/``undo``, ``allows``/``satisfied``/``violations``
 return exactly what the object path returns on the equivalent mapping.
 Compilation is by *exact* constraint type — a subclassed or unknown
@@ -258,6 +264,68 @@ class CompiledConstraintSet:
     # compilable constraint type (Collocation's override delegates to it).
     satisfied_partial = satisfied
 
+    # -- swap arithmetic ---------------------------------------------------
+    @property
+    def swap_by_arithmetic(self) -> bool:
+        """Whether :meth:`swap_enters`/:meth:`swap_satisfied` apply.
+
+        They do when every term is per host (memory, CPU, location);
+        collocation and bandwidth terms couple other components' hosts.
+        """
+        return not (self.together or self.apart or self.bandwidth)
+
+    def swap_enters(self, ca: int, cb: int) -> bool:
+        """``allows(ca, hb)`` with *cb* removed from its host ``hb``.
+
+        The first probe of a swap, answered without moving anything: the
+        loads are the floats ``place(cb, UNDEPLOYED)`` would leave.  Only
+        for :attr:`swap_by_arithmetic` sets and deployed *ca*, *cb* on
+        distinct hosts.
+        """
+        cm = self.cm
+        hb = self.assignment[cb]
+        if self.has_location and not (self.loc_mask[ca] >> hb) & 1:
+            return False
+        if self.n_memory:
+            need = cm.component_memory
+            if (self.mem_load[hb] - need[cb]) + need[ca] > cm.host_memory[hb]:
+                return False
+        if self.n_cpu:
+            need = cm.component_cpu
+            if (self.cpu_load[hb] - need[cb]) + need[ca] > cm.host_cpu[hb]:
+                return False
+        return True
+
+    def swap_satisfied(self, ca: int, cb: int) -> bool:
+        """:meth:`satisfied` once *ca* and *cb* exchange hosts, unmoved.
+
+        ``place(ca, hb)`` then ``place(cb, ha)`` change each overload
+        tally only through the two hosts, so the tally after the exchange
+        is the current one minus both hosts' overload now plus their
+        overload at the loads those two calls would write (same operand
+        order).  Same
+        preconditions as :meth:`swap_enters`.
+        """
+        cm = self.cm
+        assignment, tally = self.assignment, self.tally
+        ha, hb = assignment[ca], assignment[cb]
+        if self.n_memory and _swapped_over(
+                tally["mem_over"], self.mem_load, cm.component_memory,
+                cm.host_memory, ca, cb, ha, hb):
+            return False
+        if self.n_cpu and _swapped_over(
+                tally["cpu_over"], self.cpu_load, cm.component_cpu,
+                cm.host_cpu, ca, cb, ha, hb):
+            return False
+        if self.has_location:
+            mask_a, mask_b = self.loc_mask[ca], self.loc_mask[cb]
+            # A component is off-limits where its mask bit is clear.
+            if (tally["loc_over"] + ((mask_a >> ha) & 1)
+                    - ((mask_a >> hb) & 1) + ((mask_b >> hb) & 1)
+                    - ((mask_b >> ha) & 1)):
+                return False
+        return True
+
     # -- mutation ----------------------------------------------------------
     def place(self, ci: int, hi: int) -> UndoToken:
         """Move component *ci* to host *hi* (``UNDEPLOYED`` removes it).
@@ -405,26 +473,33 @@ class CompiledConstraintSet:
                     self._bump(token, state, "over", 1 if is_over else -1)
 
     # -- reporting ---------------------------------------------------------
-    def violation_count(self) -> int:
-        """``len(ConstraintSet.violations(...))`` without building strings."""
-        return sum(len(v) for v in self._violation_rows(structured=False))
+    def violation_count(self, assignment: Optional[Sequence[int]] = None,
+                        ) -> int:
+        """``len(ConstraintSet.violations(...))``.
+
+        Counts the bound assignment, or *assignment* (a host index or
+        ``UNDEPLOYED`` per component) without rebinding: the rows are
+        recomputed from the list either way.
+        """
+        if assignment is None:
+            assignment = self.assignment
+        return sum(len(rows) for rows in self._violation_rows(assignment))
 
     def violations(self) -> List[str]:
         """Exact object-path violation messages, in constraint order."""
         out: List[str] = []
-        for rows in self._violation_rows(structured=True):
+        for rows in self._violation_rows(self.assignment):
             out.extend(rows)
         return out
 
-    def _violation_rows(self, structured: bool):
-        """Per-entry violation lists, recomputed fresh from ``assignment``.
+    def _violation_rows(self, assignment: Sequence[int]):
+        """Per-entry violation lists, recomputed fresh from *assignment*.
 
         Cold path: recomputing (rather than reading incremental floats)
         reproduces the object path's accumulation order, keeping the
         rendered ``:g`` numbers bit-identical.
         """
         cm = self.cm
-        assignment = self.assignment
         mem_rows: Optional[List[str]] = None
         for entry in self.entries:
             kind = entry[0]
@@ -498,6 +573,15 @@ class CompiledConstraintSet:
                             f"link {cm.host_ids[ha]!r}<->{cm.host_ids[hb]!r}"
                             f": needs {need:g} KB/s, capacity {cap:g} KB/s")
                 yield rows
+
+
+def _swapped_over(over: int, load: List[float], need: List[float],
+                  cap: List[float], ca: int, cb: int, ha: int, hb: int,
+                  ) -> int:
+    """Overload tally after *ca* (on *ha*) and *cb* (on *hb*) exchange."""
+    return (over - (load[ha] > cap[ha]) - (load[hb] > cap[hb])
+            + ((load[ha] - need[ca]) + need[cb] > cap[ha])
+            + ((load[hb] + need[ca]) - need[cb] > cap[hb]))
 
 
 def _flatten(constraints: ConstraintSet) -> Optional[List[Constraint]]:

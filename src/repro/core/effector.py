@@ -460,7 +460,6 @@ class MiddlewareEffector(Effector):
                        if pre_state.get(component) != host)
         detail = {
             "error": str(last_error),
-            "rollback_scope": "barrier",
             "waves_completed": waves_completed,
             "progress_components": progress,
             "barrier_rollbacks": barrier_rollbacks,

@@ -9,6 +9,8 @@ ties) — while re-scoring only the invalidated slice.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.algorithms import SearchState, greedy_fill_deployment, make_checker
@@ -248,6 +250,45 @@ def test_checkers_reset_from_an_index_list():
         assert checker.violation_count() == by_index
         checker.reset(())
         assert checker.violation_count() == 0
+
+
+def _bound_state(checker):
+    if checker.compiled:
+        ccs = checker.ccs
+        return (list(ccs.assignment), [x.hex() for x in ccs.mem_load],
+                dict(ccs.tally), repr(ccs.together), repr(ccs.apart),
+                repr(ccs.bandwidth))
+    return list(checker.assignment), dict(checker.partial)
+
+
+def test_violation_count_of_an_index_list_leaves_the_bound_state():
+    """Genetic's fitness counts each individual without rebinding: counting
+    a list equals ``reset(list)`` then ``violation_count()``, charges one
+    check, and leaves the bound state as it was."""
+    model = _model(seed=3, hosts=4, components=8)
+    constraints = _rich_constraints(model)
+    rng = random.Random(7)
+    for members in (constraints, object_path(constraints)):
+        checker = make_checker(model, members)
+        fresh = make_checker(model, members)
+        cm = checker.cm
+        base = cm.encode(model.deployment)
+        checker.reset(base)
+        bound = _bound_state(checker)
+        hosts = list(range(cm.n_hosts)) + [UNDEPLOYED]
+        lists = [base, [UNDEPLOYED] * cm.n_components] + [
+            [rng.choice(hosts) for __ in range(cm.n_components)]
+            for __ in range(20)]
+        counts = []
+        for assignment in lists:
+            checks = checker.stats.constraint_checks
+            count = checker.violation_count(assignment)
+            assert checker.stats.constraint_checks == checks + 1
+            fresh.reset(assignment)
+            assert count == fresh.violation_count()
+            assert _bound_state(checker) == bound
+            counts.append(count)
+        assert min(counts) == 0 and max(counts) > 1
 
 
 def test_checkers_reject_unknown_hosts():
