@@ -34,8 +34,13 @@ def sparse_architectures(count=4, seed=4000):
     return Generator(config, seed=seed).generate_many(count, "sparse")
 
 
-def test_e5_awareness_sweep(availability, memory_constraints, benchmark):
-    models = sparse_architectures()
+def awareness_sweep(availability, memory_constraints, models):
+    """DecAp's availability on each model at each awareness step.
+
+    Returns ``{label: [value per model]}``; the labels are
+    ``connectivity`` (awareness from physical links) and the random
+    awareness fractions 0.4, 0.6, 0.8 and 1.0.
+    """
     fractions = (None, 0.4, 0.6, 0.8, 1.0)  # None = connectivity-derived
     sweep = {}
     for fraction in fractions:
@@ -52,7 +57,15 @@ def test_e5_awareness_sweep(availability, memory_constraints, benchmark):
                                     seed=1, awareness=awareness,
                                     max_rounds=15).run(model)
             values.append(result.value)
-        sweep[label] = statistics.mean(values)
+        sweep[label] = values
+    return sweep
+
+
+def test_e5_awareness_sweep(availability, memory_constraints, benchmark):
+    models = sparse_architectures()
+    sweep = {label: statistics.mean(values) for label, values in
+             awareness_sweep(availability, memory_constraints,
+                             models).items()}
 
     initial = statistics.mean(
         availability.evaluate(m, m.deployment) for m in models)
@@ -108,3 +121,39 @@ def test_e5_decap_convergence_rounds(availability, memory_constraints,
     benchmark(lambda: DecApAlgorithm(
         availability, memory_constraints, seed=1,
         max_rounds=50).run(model))
+
+
+def test_e5c_awareness_sweep_error_bars(availability, memory_constraints):
+    """E5 over 32 architectures, with the standard error of each mean.
+
+    Says whether E5's non-monotone step (awareness 0.8 above 1.0 on the
+    4-architecture mean) is noise: the step is compared with twice the
+    standard error of the paired per-architecture difference.
+    """
+    models = sparse_architectures(count=32)
+    sweep = awareness_sweep(availability, memory_constraints, models)
+    initial = [availability.evaluate(m, m.deployment) for m in models]
+
+    def mean_se(values):
+        return (statistics.mean(values),
+                statistics.stdev(values) / len(values) ** 0.5)
+
+    rows = [("initial (random)", *mean_se(initial))]
+    rows += [(f"DecAp awareness={label}", *mean_se(values))
+             for label, values in sweep.items()]
+    step = [full - high for full, high
+            in zip(sweep["1.0"], sweep["0.8"], strict=True)]
+    rows.append(("step 0.8 -> 1.0 (paired)", *mean_se(step)))
+    print_table("E5c: availability vs awareness "
+                "(8 hosts x 20 components, sparse links, 32 architectures)",
+                ["configuration", "mean", "std error"], rows)
+    step_mean, step_se = mean_se(step)
+    print(f"  step 0.8 -> 1.0 within two standard errors of zero: "
+          f"{abs(step_mean) <= 2 * step_se}")
+
+    # Shape: DecAp improves on the initial deployment at every awareness
+    # step, and full awareness is not worse than connectivity-only.
+    for label, values in sweep.items():
+        assert statistics.mean(values) > statistics.mean(initial), label
+    assert statistics.mean(sweep["1.0"]) >= \
+        statistics.mean(sweep["connectivity"]) - 0.01

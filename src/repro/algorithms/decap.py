@@ -17,8 +17,10 @@ This module is the *algorithmic* DecAp: it simulates the auction rounds
 directly against the model under an explicit awareness relation, so it can
 be compared head-to-head with the centralized algorithms (bench E5).  The
 message-level protocol — real auction events flowing between per-host agents
-over the middleware — lives in :mod:`repro.decentralized.auction` and
-produces the same decisions.
+over the middleware — lives in :mod:`repro.decentralized.auction`.  Both
+close their auctions with :func:`settle_auction`;
+``tests/decentralized/test_decap_equivalence.py`` checks that, given the
+same knowledge, they reach the same decision auction by auction.
 
 Information locality is what distinguishes DecAp from the centralized
 algorithms: a bidder only knows about the components deployed on *its own*
@@ -31,7 +33,7 @@ optimum (E5's expected shape).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.algorithms.base import DeploymentAlgorithm
 from repro.core.model import DeploymentModel
@@ -52,6 +54,49 @@ def connectivity_awareness(model: DeploymentModel) -> AwarenessMap:
     }
 
 
+def settle_auction(bids: Mapping[str, float], retained: float,
+                   reliability: Callable[[str, str], float],
+                   auctioneer: str, symmetric: bool = True,
+                   ) -> Tuple[Optional[str], float, float]:
+    """Close one DecAp auction; the one copy of its settlement rule.
+
+    Both :class:`DecApAlgorithm` (over the model) and the agents of
+    :mod:`repro.decentralized.auction` (over their knowledge bases) call it.
+    *bids* maps each bidder host to its local bid, the auctioned component's
+    interaction volume with the components on that host; *retained* is its
+    volume with the components staying on *auctioneer*; *reliability* gives
+    a host pair's link reliability as the caller knows it.
+
+    A final bid is the bidder's own bid (perfectly reliable once local),
+    plus *retained* over the auctioneer-bidder link, plus, when *symmetric*,
+    every other bid over the bidder-to-bidder link, which keeps final bids
+    information-symmetric with the keep-value: *retained* plus every bid
+    over the auctioneer-bidder link.  ``symmetric=False`` is the keep-biased
+    naive formulation (ablation bench E11a).  Sums run in sorted bidder
+    order, so bid arrival order cannot change the result.
+
+    Returns ``(winner, best, keep)``: the first bidder in sorted order with
+    the highest final bid, that bid, and the keep-value (``(None, -inf,
+    retained)`` without bids).  The component moves only when
+    ``best > keep + 1e-12``.
+    """
+    bidders = sorted(bids)
+    keep = retained
+    for bidder in bidders:
+        keep += bids[bidder] * reliability(auctioneer, bidder)
+    winner: Optional[str] = None
+    best = float("-inf")
+    for bidder in bidders:
+        final = bids[bidder] + retained * reliability(auctioneer, bidder)
+        if symmetric:
+            for other in bidders:
+                if other != bidder:
+                    final += bids[other] * reliability(bidder, other)
+        if final > best:
+            winner, best = bidder, final
+    return winner, best, keep
+
+
 class DecApAlgorithm(DeploymentAlgorithm):
     """Auction-based decentralized redeployment.
 
@@ -64,6 +109,8 @@ class DecApAlgorithm(DeploymentAlgorithm):
             auctions.  ``None`` derives awareness from physical
             connectivity.
         max_rounds: Upper bound on system-wide auction rounds.
+        symmetric_bids: :func:`settle_auction`'s ``symmetric``; ``False``
+            measures the keep-biased naive final bids (ablation bench E11).
     """
 
     name = "decap"
@@ -75,74 +122,38 @@ class DecApAlgorithm(DeploymentAlgorithm):
         super().__init__(objective, constraints, seed)
         self.awareness = awareness
         self.max_rounds = max_rounds
-        #: Include bidder-to-bidder link terms in final bids so keep/move
-        #: comparisons are information-symmetric.  Disable to measure the
-        #: keep-biased naive formulation (ablation bench E11).
         self.symmetric_bids = symmetric_bids
 
     # ------------------------------------------------------------------
-    def _local_bid(self, model: DeploymentModel, assignment: Mapping[str, str],
-                   component: str, bidder: str) -> float:
-        """The bidder's initial bid: interaction volume between *component*
-        and the components currently deployed on *bidder*'s host.
+    def auction(self, model: DeploymentModel, checker, component: str,
+                auctioneer: str, bidders: Iterable[str],
+                ) -> Tuple[Dict[str, float], Optional[str], float, float]:
+        """One auction of *component*, held by its host *auctioneer*.
 
-        Uses ``frequency * evt_size`` — "the frequency and volume of
-        interaction" — which becomes fully local (perfectly reliable) if the
-        bidder wins.
+        *checker* (:func:`repro.algorithms.search.make_checker`) is bound to
+        the current deployment with every component placed.  One pass over
+        the component's compiled neighbours sums its interaction volume with
+        each host: the auctioneer's sum is the retained volume, and each
+        bidder's is its bid.  Bidders that are not hosts of *model*, or that
+        the constraints bar, do not bid.  Returns ``(bids, winner, best,
+        keep)``, the last three from :func:`settle_auction`.
         """
-        bid = 0.0
-        for other, host in assignment.items():
-            if host == bidder and other != component:
-                link = model.logical_link(component, other)
-                if link is not None:
-                    bid += link.frequency * link.evt_size
-        return bid
-
-    def _final_bid(self, model: DeploymentModel, assignment: Mapping[str, str],
-                   component: str, auctioneer: str, bidder: str,
-                   bids: Mapping[str, float]) -> float:
-        """Auctioneer's final bid for placing the component on *bidder*.
-
-        Combines three terms computable from the auction's information set:
-        the bidder's own (now-local, perfectly reliable) interaction volume;
-        traffic with components staying on the auctioneer's host, riding the
-        auctioneer-bidder link; and traffic with the *other* bidders'
-        components, riding the bidder-to-bidder links whose qualities the
-        bidders piggyback on their bid messages.  This keeps the final bid
-        information-symmetric with :meth:`_keep_value`, so comparisons are
-        unbiased.
-        """
-        retained = 0.0
-        for other, host in assignment.items():
-            if host == auctioneer and other != component:
-                link = model.logical_link(component, other)
-                if link is not None:
-                    retained += link.frequency * link.evt_size
-        value = bids[bidder] \
-            + retained * model.reliability(auctioneer, bidder)
-        if self.symmetric_bids:
-            for other_bidder, other_bid in bids.items():
-                if other_bidder != bidder:
-                    value += other_bid * model.reliability(bidder,
-                                                           other_bidder)
-        return value
-
-    def _keep_value(self, model: DeploymentModel,
-                    assignment: Mapping[str, str], component: str,
-                    auctioneer: str, bids: Mapping[str, float]) -> float:
-        """Value of leaving the component where it is, computed from the
-        same information set the auction gathered: local interactions stay
-        perfect, each bidder's reported local interaction volume rides the
-        auctioneer-bidder link."""
-        value = 0.0
-        for other, host in assignment.items():
-            if host == auctioneer and other != component:
-                link = model.logical_link(component, other)
-                if link is not None:
-                    value += link.frequency * link.evt_size
-        for bidder, local_bid in bids.items():
-            value += local_bid * model.reliability(auctioneer, bidder)
-        return value
+        cm = checker.cm
+        ci = cm.component_index[component]
+        hosts = checker.assignment
+        volume = [0.0] * cm.n_hosts
+        for k in range(cm.adj_indptr[ci], cm.adj_indptr[ci + 1]):
+            volume[hosts[cm.adj_neighbor[k]]] += \
+                cm.edge_volume[cm.adj_edge[k]]
+        bids: Dict[str, float] = {}
+        for bidder in sorted(bidders):
+            hi = cm.host_index.get(bidder)
+            if hi is not None and checker.allows_index(ci, hi):
+                bids[bidder] = volume[hi]
+        winner, best, keep = settle_auction(
+            bids, volume[cm.host_index[auctioneer]], model.reliability,
+            auctioneer, self.symmetric_bids)
+        return bids, winner, best, keep
 
     # ------------------------------------------------------------------
     def _search(self, model: DeploymentModel, initial: Dict[str, str],
@@ -190,31 +201,13 @@ class DecApAlgorithm(DeploymentAlgorithm):
                 ]
                 for component in local_components:
                     total_auctions += 1
-                    ci = cm.component_index[component]
-                    bids: Dict[str, float] = {}
-                    for bidder in sorted(neighbors):
-                        if not model.has_host(bidder):
-                            continue
-                        if not checker.allows_index(ci,
-                                                    cm.host_index[bidder]):
-                            continue  # bidder cannot take the component
-                        bids[bidder] = self._local_bid(
-                            model, assignment, component, bidder)
-                    if not bids:
-                        continue
-                    final_bids = {
-                        bidder: self._final_bid(
-                            model, assignment, component, auctioneer,
-                            bidder, bids)
-                        for bidder in bids
-                    }
-                    self._count_evaluation(len(final_bids))
-                    keep = self._keep_value(model, assignment, component,
-                                            auctioneer, bids)
-                    winner = max(sorted(final_bids), key=final_bids.get)
-                    if final_bids[winner] > keep + 1e-12:
+                    bids, winner, best, keep = self.auction(
+                        model, checker, component, auctioneer, neighbors)
+                    self._count_evaluation(len(bids))
+                    if best > keep + 1e-12:
                         assignment[component] = winner
-                        checker.place_index(ci, cm.host_index[winner])
+                        checker.place_index(cm.component_index[component],
+                                            cm.host_index[winner])
                         moves_this_round += 1
             total_moves += moves_this_round
             if moves_this_round == 0:

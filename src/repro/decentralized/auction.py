@@ -15,15 +15,20 @@ component to be redeployed ... The agents receiving this message have a
 limited time to enter a bid on the component before the auction closes."
 
 Bids are computed from each agent's *local knowledge base* (its synced
-partial model), preserving DecAp's information locality.
+partial model), preserving DecAp's information locality.  Auctions close
+with :func:`repro.algorithms.decap.settle_auction`, the rule the algorithm
+uses too; ``tests/decentralized/test_decap_equivalence.py`` checks that both
+reach the same decisions from the same knowledge.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.algorithms.decap import settle_auction
 from repro.core.errors import AuctionError
 from repro.decentralized.sync import KnowledgeBase
 from repro.middleware.admin import AdminComponent, ExtensibleComponent, admin_id
@@ -222,38 +227,17 @@ class AuctionAgentComponent(ExtensibleComponent):
 
     def _settle(self, record: AuctionRecord,
                 ) -> Tuple[Optional[str], float, float]:
-        """Compute final bids and the keep-value from local knowledge.
-
-        Mirrors :class:`repro.algorithms.decap.DecApAlgorithm`: a bidder's
-        reported local interaction volume becomes perfectly reliable if it
-        wins; traffic with components staying here rides the
-        auctioneer-winner link; the keep-value prices the status quo with
-        the same information.
-        """
+        """``(winner, best, keep)`` by :func:`settle_auction`, priced with
+        this host's knowledge: the retained volume with the components
+        staying here, and the link reliabilities the KB knows."""
         component = record.component
         retained = sum(
             interaction_volume(self.kb, component, other)
             for other in self.local_app_components() if other != component
         )
-        keep = retained
-        for bidder, bid in record.bids.items():
-            keep += bid * link_reliability(self.kb, self.host, bidder)
-        best_host: Optional[str] = None
-        best_bid = float("-inf")
-        for bidder in sorted(record.bids):
-            final = record.bids[bidder] + retained * link_reliability(
-                self.kb, self.host, bidder)
-            # Traffic with the other bidders' components rides the
-            # bidder-to-bidder links (qualities known via the synced KB),
-            # keeping the final bid information-symmetric with keep.
-            for other_bidder, other_bid in record.bids.items():
-                if other_bidder != bidder:
-                    final += other_bid * link_reliability(
-                        self.kb, bidder, other_bidder)
-            if final > best_bid:
-                best_bid = final
-                best_host = bidder
-        return best_host, best_bid, keep
+        return settle_auction(record.bids, retained,
+                              functools.partial(link_reliability, self.kb),
+                              self.host)
 
     # ------------------------------------------------------------------
     # Bidding (participant role)
