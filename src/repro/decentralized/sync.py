@@ -62,11 +62,19 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     def observe(self, category: str, entity: Any, attribute: str,
                 value: Any) -> Fact:
-        """Record a locally observed fact with a fresh version."""
+        """Record a locally observed fact with a fresh version.
+
+        Re-observing the value already known returns the existing fact
+        unversioned: a fresh version would make every peer adopt the
+        same value again, so gossip would never go quiet.
+        """
+        key = (category, entity, attribute)
+        known = self._facts.get(key)
+        if known is not None and known.value == value:
+            return known
         self._counter += 1
-        fact = Fact((category, entity, attribute), value, self._counter,
-                    self.owner)
-        self._facts[fact.key] = fact
+        fact = Fact(key, value, self._counter, self.owner)
+        self._facts[key] = fact
         return fact
 
     def get(self, category: str, entity: Any, attribute: str,

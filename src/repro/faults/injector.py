@@ -81,11 +81,11 @@ class FaultInjector:
                 raise FaultPlanError(
                     f"plan {self.plan.name!r} references endpoint "
                     f"{endpoint!r} absent from the network")
-        now = self.clock.now
-        self._handles.extend(self.clock.schedule_many(
-            [(action.time - now, self._fire,
-              (action.kind, action.target, action.param_map))
-             for action in self.plan.actions]))
+        clock = self.clock
+        for action in self.plan.actions:
+            self._handles.append(clock.schedule_at(
+                action.time, self._fire, action.kind, action.target,
+                action.param_map))
         self.armed = True
         return len(self._handles)
 

@@ -187,16 +187,7 @@ class DistributionConnector(Connector):
             event.headers["ttl"] = ttl - 1
             event.headers["relay_to"] = destination
             destination = relay
-        event.headers.setdefault("origin_host", self.host)
-        if not event.is_admin and "seq" not in event.headers:
-            # Sequence application events per direct destination: the
-            # receiving monitor infers losses from sequence gaps (an
-            # unbiased passive reliability estimate; see
-            # NetworkReliabilityMonitor.notify).
-            seq = self._seq_out.get(destination, 0) + 1
-            self._seq_out[destination] = seq
-            event.headers["seq"] = seq
-            event.headers["seq_link"] = self.host
+        self._stamp(destination, event)
         wire = event.to_wire()
         self.sent_remote += 1
         self._c_sent.inc()
@@ -204,14 +195,30 @@ class DistributionConnector(Connector):
                           size_kb=event.size_kb,
                           reliable=event.is_admin)
 
+    def _stamp(self, destination: str, event: Event) -> None:
+        """Stamp the headers an event carries on its hop toward the direct
+        neighbor *destination*: the origin host and, for application
+        events not yet sequenced, the per-destination ``seq``."""
+        headers = event.headers
+        headers.setdefault("origin_host", self.host)
+        if not event.is_admin and "seq" not in headers:
+            # Sequence application events per direct destination: the
+            # receiving monitor infers losses from sequence gaps (an
+            # unbiased passive reliability estimate; see
+            # NetworkReliabilityMonitor.notify).
+            seq = self._seq_out.get(destination, 0) + 1
+            self._seq_out[destination] = seq
+            headers["seq"] = seq
+            headers["seq_link"] = self.host
+
     def _transmit_many(self, destination: str, events: list) -> None:
         """Transmit an adjacent run of events toward one destination,
         coalescing the direct-link case into framed network batches.
 
         Exactly equivalent to calling :meth:`_transmit` per event in
-        order: headers (origin, per-destination seq) are stamped per
-        event before its wire frame joins the batch, loss trials consume
-        the seeded RNG stream in the same order inside
+        order: headers are stamped per event by :meth:`_stamp` before its
+        wire frame joins the batch, loss trials consume the seeded RNG
+        stream in the same order inside
         :meth:`~repro.sim.network.SimulatedNetwork.send_many`, and runs
         are broken wherever the transport differs (admin events ride the
         reliable transport, application events do not).  Relay and
@@ -229,12 +236,7 @@ class DistributionConnector(Connector):
         run: list = []          # (wire, size_kb) frames for one transport
         run_reliable = False
         for event in events:
-            event.headers.setdefault("origin_host", self.host)
-            if not event.is_admin and "seq" not in event.headers:
-                seq = self._seq_out.get(destination, 0) + 1
-                self._seq_out[destination] = seq
-                event.headers["seq"] = seq
-                event.headers["seq_link"] = self.host
+            self._stamp(destination, event)
             reliable = event.is_admin
             if run and reliable != run_reliable:
                 send_many(self.host, destination, run,

@@ -12,6 +12,7 @@ machinery migrates application components between hosts (the paper's
 from __future__ import annotations
 
 import json
+from math import isfinite
 from typing import Any, Dict, Optional
 
 from repro.core.errors import SerializationError
@@ -27,13 +28,6 @@ ADMIN_PREFIX = "admin."
 #: Approximate fixed framing overhead of an event on the wire, in KB.
 EVENT_OVERHEAD_KB = 0.05
 
-#: Types the wire-validation fast path can vouch for without invoking
-#: the JSON encoder.  ``bool`` is a subclass of ``int`` so it rides
-#: along; anything else (tuples, exotic numerics, custom classes) falls
-#: back to ``json.dumps`` and therefore keeps its exact accept/reject
-#: behavior.
-_JSON_SCALARS = (str, int, float)
-
 #: Depth bound for the recursive fast checks: deeper (or circular)
 #: payloads fall back to ``json.dumps``, which raises ``ValueError`` on
 #: true cycles exactly as before.
@@ -45,27 +39,6 @@ _MAX_FAST_DEPTH = 16
 #: on every event, invalidating CPython's method caches for the hottest
 #: class in the system.
 _next_event_id = 1
-
-
-def _jsonable_fast(value: Any, depth: int = 0) -> bool:
-    """True when *value* is certainly JSON-serializable (conservative)."""
-    if value is None or type(value) in (str, int, float, bool):
-        return True
-    if depth >= _MAX_FAST_DEPTH:
-        return False
-    # Plain loops rather than all(genexpr): this runs once per wire
-    # serialization, and the generator frame alloc is measurable there.
-    if type(value) is dict:
-        for key, val in value.items():
-            if type(key) is not str or not _jsonable_fast(val, depth + 1):
-                return False
-        return True
-    if type(value) is list:
-        for item in value:
-            if not _jsonable_fast(item, depth + 1):
-                return False
-        return True
-    return False
 
 
 def _plain_str_len(text: str) -> int:
@@ -90,48 +63,46 @@ def _json_size_fast(value: Any, depth: int = 0) -> int:
     the encoder's output (escaped strings, exotic numerics, deep nesting)
     returns -1 and the caller runs the real encoder.
     """
-    if value is None:
-        return 4
     kind = type(value)
-    if kind is bool:
-        return 4 if value else 5
-    if kind is str:
-        return _plain_str_len(value)
-    if kind is int:
-        return len(str(value))
-    if kind is float:
-        if value != value or value in (float("inf"), float("-inf")):
-            return -1  # NaN/Infinity spellings: let the encoder decide
-        return len(repr(value))  # json uses float.__repr__
-    if depth >= _MAX_FAST_DEPTH:
-        return -1
     if kind is dict:
-        # '{"k": v, ...}': 2 braces + per-entry key + ': ' + value,
-        # joined by ', '.
-        total = 2
-        first = True
+        if depth >= _MAX_FAST_DEPTH:
+            return -1
+        # '{"k": v, ...}': per entry the quoted key, ': ', the value and
+        # a ', ' separator, whose last one the two braces replace.
+        total = 0
         for key, val in value.items():
-            if type(key) is not str:
-                return -1
-            key_len = _plain_str_len(key)
-            if key_len < 0:
+            # Keys must be plain strings (see _plain_str_len), tested
+            # inline: this loop runs for every event put on the wire.
+            if type(key) is not str or not key.isascii() \
+                    or not key.isprintable() or '"' in key or "\\" in key:
                 return -1
             val_len = _json_size_fast(val, depth + 1)
             if val_len < 0:
                 return -1
-            total += key_len + 2 + val_len + (0 if first else 2)
-            first = False
-        return total
+            total += len(key) + val_len + 6
+        return total or 2
+    if kind is int:
+        return len(str(value))
+    if kind is str:
+        return _plain_str_len(value)
+    if kind is float:
+        # json uses float.__repr__; NaN/Infinity spellings: let the
+        # encoder decide.
+        return len(repr(value)) if isfinite(value) else -1
     if kind is list:
-        total = 2
-        first = True
+        if depth >= _MAX_FAST_DEPTH:
+            return -1
+        total = 0
         for item in value:
             item_len = _json_size_fast(item, depth + 1)
             if item_len < 0:
                 return -1
-            total += item_len + (0 if first else 2)
-            first = False
-        return total
+            total += item_len + 2
+        return total or 2
+    if kind is bool:
+        return 4 if value else 5
+    if value is None:
+        return 4
     return -1
 
 
@@ -218,17 +189,23 @@ class Event:
     # ------------------------------------------------------------------
     def to_wire(self) -> Dict[str, Any]:
         """Serialize for transmission between address spaces."""
-        # Validation fast path: vouch for common primitive payloads
-        # without running the encoder; anything unusual (tuples, custom
-        # types, deep or cyclic nesting) takes the encoder and keeps its
-        # exact accept/reject behavior.
-        if not _jsonable_fast(self.payload):
+        # One walk both validates and prices the payload: a length from
+        # the size walk means the encoder would accept it; anything the
+        # walk cannot price (escapes, tuples, custom types, deep or
+        # cyclic nesting) takes the encoder and keeps its exact
+        # accept/reject behavior.  Without a declared size the length is
+        # kept for ``size_kb``, which the transmitting connector reads
+        # next.
+        body = _json_size_fast(self.payload)
+        if body < 0:
             try:
-                json.dumps(self.payload)
+                body = len(json.dumps(self.payload))
             except (TypeError, ValueError) as exc:
                 raise SerializationError(
                     f"event {self.name!r} payload is not "
                     f"JSON-serializable: {exc}") from exc
+        if self._size_kb is None and self._size_cache is None:
+            self._size_cache = EVENT_OVERHEAD_KB + body / 1024.0
         return {
             "name": self.name,
             "payload": self.payload,

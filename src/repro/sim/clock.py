@@ -15,8 +15,9 @@ The scheduler keeps two structures whose merge order is the global
 ``(time, seq)`` order:
 
 * a binary heap of ``(time, seq, event)`` tuples for future events, so
-  sift comparisons stay in C instead of calling ``ScheduledEvent.__lt__``
-  per level (the single hottest call site in message-heavy campaigns);
+  sift comparisons (among the hottest work in message-heavy campaigns)
+  stay in C; ``seq`` is unique, so the event itself is never compared
+  and defines no ordering;
 * a FIFO deque for events scheduled *at the current instant* — the
   middleware scaffold turns every local delivery into a zero-delay event,
   so the majority of traffic bypasses the heap entirely.
@@ -36,8 +37,9 @@ cancel-heavy retry/timeout workloads.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 #: Compaction threshold: never compact below this many cancelled entries
 #: (tiny heaps aren't worth the heapify), and only when cancelled entries
@@ -48,6 +50,9 @@ COMPACT_MIN = 64
 #: cover the in-flight population of a message storm, small enough that
 #: an idle clock is not hoarding memory.
 POOL_MAX = 4096
+
+#: The drain loop's "no deadline": no event is due after it.
+_NEVER = float("inf")
 
 
 class ScheduledEvent:
@@ -80,9 +85,6 @@ class ScheduledEvent:
         clock = self._clock
         if clock is not None:  # still pending: update live/cancelled books
             clock._note_cancel()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class PeriodicTask:
@@ -128,8 +130,8 @@ class SimClock:
         #: instead of a builtin call, and it is bumped once per
         #: scheduled event — millions of times per campaign.
         self._seq_n = 0
-        self._processed = 0
         self._live = 0            # scheduled, not yet fired or cancelled
+        self._cancelled = 0       # cancelled while still pending
         self._cancelled_heap = 0  # cancelled entries still in the heap
         #: Free list of fired post()/defer() events awaiting reuse.
         self._pool: List[ScheduledEvent] = []
@@ -145,8 +147,13 @@ class SimClock:
 
     @property
     def processed(self) -> int:
-        """Total events fired since construction."""
-        return self._processed
+        """Total events fired since construction.
+
+        Derived from the admission books (every admitted event is
+        pending, cancelled or fired), so the drain loop keeps no counter
+        of its own for it.  An event whose callback raised has fired.
+        """
+        return self._seq_n - self._live - self._cancelled
 
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],
@@ -169,43 +176,6 @@ class SimClock:
         else:
             heapq.heappush(self._heap, (time, seq, event))
         return event
-
-    def schedule_many(
-            self,
-            items: Iterable[Tuple[float, Callable[..., Any],
-                                  Tuple[Any, ...]]],
-    ) -> List[ScheduledEvent]:
-        """Schedule a batch of ``(delay, callback, args)`` entries.
-
-        Equivalent to calling :meth:`schedule` once per entry, in order
-        (handles come back in the same order), but resolves the hot
-        locals once and pays a single attribute-lookup set for the whole
-        batch.  Entries for the current instant go to the ready deque;
-        the rest are pushed onto the heap.
-        """
-        now = self._now
-        heap = self._heap
-        ready_append = self._ready.append
-        push = heapq.heappush
-        seq = self._seq_n
-        handles: List[ScheduledEvent] = []
-        for delay, callback, args in items:
-            if delay < 0:
-                self._seq_n = seq
-                raise ValueError(
-                    f"cannot schedule into the past (delay={delay})")
-            time = now + delay
-            event = ScheduledEvent(time, seq, callback, args)
-            seq += 1
-            event._clock = self
-            if time == now:
-                ready_append(event)
-            else:
-                push(heap, (time, event.seq, event))
-            handles.append(event)
-        self._seq_n = seq
-        self._live += len(handles)
-        return handles
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> ScheduledEvent:
@@ -273,6 +243,7 @@ class SimClock:
         """A pending event was cancelled: move it from the live count to
         the cancelled book and compact the heap when it is mostly dead."""
         self._live -= 1
+        self._cancelled += 1
         self._cancelled_heap += 1
         if (self._cancelled_heap > COMPACT_MIN
                 and self._cancelled_heap * 2 > len(self._heap)):
@@ -281,7 +252,7 @@ class SimClock:
     def _compact(self) -> None:
         """Drop cancelled entries from the heap, in place.
 
-        In place matters: :meth:`run` holds a local reference to the
+        In place matters: the drain loop holds a local reference to the
         heap list, so compaction must keep the object identity.  The
         ready deque is left alone — its entries belong to the current
         instant and are popped imminently anyway (the cancelled book
@@ -293,74 +264,46 @@ class SimClock:
         self._cancelled_heap = 0
 
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        heap = self._heap
-        ready = self._ready
-        while True:
-            if ready:
-                head = ready[0]
-                if heap and heap[0] < (head.time, head.seq):
-                    event = heapq.heappop(heap)[2]
-                else:
-                    event = ready.popleft()
-            elif heap:
-                event = heapq.heappop(heap)[2]
-            else:
-                return False
-            if event.cancelled:
-                event._clock = None
-                if self._cancelled_heap:
-                    self._cancelled_heap -= 1
-                continue
-            event._clock = None
-            self._live -= 1
-            self._now = event.time
-            event.callback(*event.args)
-            self._processed += 1
-            if event.pooled and len(self._pool) < POOL_MAX:
-                event.callback = event.args = None
-                self._pool.append(event)
-            return True
+    def _drain(self, max_events: int, deadline: float = _NEVER,
+               container: Any = None, until: float = _NEVER,
+               predicate: Optional[Callable[[], Any]] = None) -> int:
+        """Pop and fire events in ``(time, seq)`` order; returns how many
+        fired.  The one loop behind :meth:`step`, :meth:`run`,
+        :meth:`run_while` and :meth:`run_while_pending`.
 
-    def run(self, duration: Optional[float] = None,
-            max_events: int = 1_000_000_000) -> int:
-        """Process events until the queue drains, *duration* elapses, or
-        *max_events* fire (a runaway guard).  Returns events processed.
-
-        The guard exists to stop a zero-delay livelock, not to bound
-        legitimate work: a cap counted in scheduler events fires at
-        different points in *virtual time* for batched vs per-event
-        delivery (a coalesced run schedules fewer events for the same
-        traffic), so a guard tight enough to bind on real campaigns
-        would silently break their byte-equivalence.
-
-        This is the hot loop: same-timestamp runs (zero-delay middleware
-        dispatch above all) drain through the ready deque without any
-        heap traffic, and pop/fire is inlined rather than going through
-        :meth:`step` per event.
+        Before each pop it stops once *max_events* have fired, when a
+        *container* is given and it is empty or ``now`` has reached
+        *until*, or when a *predicate* is given and returns falsy; it
+        also stops, without popping, when the next event is due after
+        *deadline*.  The stop tests are plain local comparisons rather
+        than a default predicate: a per-event call here costs measurably
+        more across a campaign's millions of events.  Same-timestamp runs
+        (zero-delay middleware dispatch above all) drain through the
+        ready deque without heap traffic.
         """
-        deadline = None if duration is None else self._now + duration
         fired = 0
         heap = self._heap
         ready = self._ready
         pool = self._pool
         pop = heapq.heappop
         while fired < max_events:
+            if container is not None:
+                if not (container and self._now < until):
+                    break
+            elif predicate is not None and not predicate():
+                break
             if ready:
                 head = ready[0]
                 if heap and heap[0] < (head.time, head.seq):
-                    time, __, event = heap[0]
-                    if deadline is not None and time > deadline:
+                    if heap[0][0] > deadline:
                         break
-                    pop(heap)
+                    event = pop(heap)[2]
                 else:
-                    if deadline is not None and head.time > deadline:
+                    if head.time > deadline:
                         break
                     event = ready.popleft()
             elif heap:
-                time = heap[0][0]
-                if deadline is not None and time > deadline:
+                if heap[0][0] > deadline:
                     break
                 event = pop(heap)[2]
             else:
@@ -374,12 +317,36 @@ class SimClock:
             self._live -= 1
             self._now = event.time
             event.callback(*event.args)
-            self._processed += 1
             fired += 1
             if event.pooled and len(pool) < POOL_MAX:
                 event.callback = event.args = None
                 pool.append(event)
-        if deadline is not None and self._now < deadline:
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next event; returns False when the queue is empty."""
+        return self._drain(1) == 1
+
+    def run(self, duration: Optional[float] = None,
+            max_events: int = 1_000_000_000) -> int:
+        """Process events until the queue drains, *duration* elapses, or
+        *max_events* fire (a runaway guard).  Returns events processed.
+
+        The guard exists to stop a zero-delay livelock, not to bound
+        legitimate work: a cap counted in scheduler events fires at
+        different points in *virtual time* for batched vs per-event
+        delivery (a coalesced run schedules fewer events for the same
+        traffic), so a guard tight enough to bind on real campaigns
+        would silently break their byte-equivalence.
+
+        With a *duration*, time ends at the deadline even when the queue
+        (or the guard) stops the loop earlier.
+        """
+        if duration is None:
+            return self._drain(max_events)
+        deadline = self._now + duration
+        fired = self._drain(max_events, deadline)
+        if self._now < deadline:
             self._now = deadline
         return fired
 
@@ -401,79 +368,20 @@ class SimClock:
         counted in scheduler events truncates the two modes at different
         points in virtual time.
         """
-        fired = 0
-        heap = self._heap
-        ready = self._ready
-        pool = self._pool
-        pop = heapq.heappop
-        while (max_events is None or fired < max_events) and predicate():
-            if ready:
-                head = ready[0]
-                if heap and heap[0] < (head.time, head.seq):
-                    event = pop(heap)[2]
-                else:
-                    event = ready.popleft()
-            elif heap:
-                event = pop(heap)[2]
-            else:
-                break
-            if event.cancelled:
-                event._clock = None
-                if self._cancelled_heap:
-                    self._cancelled_heap -= 1
-                continue
-            event._clock = None
-            self._live -= 1
-            self._now = event.time
-            event.callback(*event.args)
-            self._processed += 1
-            fired += 1
-            if event.pooled and len(pool) < POOL_MAX:
-                event.callback = event.args = None
-                pool.append(event)
-        return fired
+        return self._drain(sys.maxsize if max_events is None else max_events,
+                           predicate=predicate)
 
     def run_while_pending(self, container: Any, deadline: float) -> int:
         """Process events while *container* is non-empty and now < *deadline*.
 
         The common shape of :meth:`run_while` — "drain until this work
-        queue empties or time runs out" — with the condition inlined:
-        the generic form pays a lambda call plus a ``now`` property read
-        per event, which is measurable when a redeployment window
-        processes millions of events.  Stop point is identical to
+        queue empties or time runs out" — with the condition tested
+        inline: the generic form pays a lambda call plus a ``now``
+        property read per event, which is measurable when a redeployment
+        window processes millions of events.  Stop point is identical to
         ``run_while(lambda: container and self.now < deadline)``.
         """
-        fired = 0
-        heap = self._heap
-        ready = self._ready
-        pool = self._pool
-        pop = heapq.heappop
-        while container and self._now < deadline:
-            if ready:
-                head = ready[0]
-                if heap and heap[0] < (head.time, head.seq):
-                    event = pop(heap)[2]
-                else:
-                    event = ready.popleft()
-            elif heap:
-                event = pop(heap)[2]
-            else:
-                break
-            if event.cancelled:
-                event._clock = None
-                if self._cancelled_heap:
-                    self._cancelled_heap -= 1
-                continue
-            event._clock = None
-            self._live -= 1
-            self._now = event.time
-            event.callback(*event.args)
-            self._processed += 1
-            fired += 1
-            if event.pooled and len(pool) < POOL_MAX:
-                event.callback = event.args = None
-                pool.append(event)
-        return fired
+        return self._drain(sys.maxsize, container=container, until=deadline)
 
     def run_until(self, time: float, max_events: int = 1_000_000_000) -> int:
         """Process events with timestamps <= *time*."""

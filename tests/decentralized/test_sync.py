@@ -4,8 +4,12 @@ import pytest
 
 from repro.core import AvailabilityObjective, DeploymentModel
 from repro.decentralized import (
-    AwarenessGraph, KnowledgeBase, ModelSynchronizer, from_connectivity,
+    AwarenessGraph, DecentralizedFramework, KnowledgeBase, ModelSynchronizer,
+    from_connectivity,
 )
+from repro.desi import Generator, GeneratorConfig
+from repro.middleware import DistributedSystem
+from repro.sim import SimClock
 
 
 def line_model(n=4):
@@ -62,6 +66,13 @@ class TestKnowledgeBase:
         alpha.observe("host", "b", "memory", 99.0)
         beta.merge_from(alpha)
         assert beta.get("host", "b", "memory") == 99.0
+
+    def test_reobserving_an_equal_value_keeps_its_version(self):
+        kb = KnowledgeBase("h0")
+        first = kb.observe("host", "h0", "memory", 64.0)
+        assert kb.observe("host", "h0", "memory", 64.0) is first
+        changed = kb.observe("host", "h0", "memory", 32.0)
+        assert changed.version == first.version + 1
 
     def test_merge_is_idempotent(self):
         alpha = KnowledgeBase("a")
@@ -151,3 +162,18 @@ class TestModelSynchronizer:
         synchronizer.sync_round()
         assert synchronizer.base("h0").get(
             "deployment", "c2", "host") == "h0"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unchanged_local_observations_keep_sync_quiet(self, seed):
+        model = Generator(GeneratorConfig(hosts=6, components=16),
+                          seed=seed).generate()
+        system = DistributedSystem(model, SimClock(), decentralized=True,
+                                   seed=1)
+        framework = DecentralizedFramework(system, AvailabilityObjective())
+        synchronizer = framework.synchronizer
+        for agent in framework.agents.values():
+            agent.observe_local()
+        synchronizer.sync_until_quiet()
+        for agent in framework.agents.values():
+            agent.observe_local()
+        assert synchronizer.sync_round() == 0

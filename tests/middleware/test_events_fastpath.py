@@ -18,9 +18,7 @@ from repro.core.errors import SerializationError
 from repro.middleware.bricks import (
     Architecture, CallbackComponent, Component, Connector,
 )
-from repro.middleware.events import (
-    Event, _json_size_fast, _jsonable_fast,
-)
+from repro.middleware.events import EVENT_OVERHEAD_KB, Event, _json_size_fast
 
 #: JSON-ish values, deliberately including escapes, unicode, huge ints,
 #: odd floats, deep nesting — everything that must fall back exactly.
@@ -33,6 +31,75 @@ JSON_VALUES = st.recursive(
                       | st.dictionaries(st.text(max_size=10), children,
                                         max_size=4)),
     max_leaves=25)
+
+#: Payload parts the size walk cannot price, so ``to_wire`` must hand
+#: them to the encoder: escaped and non-ASCII strings, NaN and the
+#: infinities, tuples, and the non-string keys the encoder accepts.
+ODD_STRINGS = st.sampled_from(['say "hi"', "back\\slash", "tab\there",
+                               "na\u00efve", "\u96ea", "\x00", "\u2028"])
+ENCODABLE_LEAVES = (st.none() | st.booleans()
+                    | st.integers(-10 ** 6, 10 ** 6) | st.floats()
+                    | st.text(max_size=8) | ODD_STRINGS)
+ENCODABLE_KEYS = (st.text(max_size=6) | ODD_STRINGS | st.integers(-5, 5)
+                  | st.booleans() | st.none() | st.floats())
+
+
+def payloads(leaves, keys):
+    values = st.recursive(
+        leaves,
+        lambda children: (st.lists(children, max_size=3)
+                          | st.tuples(children, children)
+                          | st.dictionaries(keys, children, max_size=3)),
+        max_leaves=20)
+    return st.dictionaries(keys, values, max_size=4)
+
+
+ENCODABLE_PAYLOADS = payloads(ENCODABLE_LEAVES, ENCODABLE_KEYS)
+#: The same plus what the encoder rejects: unencodable objects, sets,
+#: and tuple keys.
+ANY_PAYLOADS = payloads(
+    ENCODABLE_LEAVES | st.builds(object)
+    | st.frozensets(st.integers(), max_size=2),
+    ENCODABLE_KEYS | st.tuples(st.integers(0, 3)))
+
+ODD_PAYLOADS = [
+    {"s": 'say "hi"'}, {"s": "back\\slash"}, {"s": "tab\there"},
+    {"s": "na\u00efve"}, {"s": "\u96ea"}, {"say \"hi\"": 1},
+    {"x": float("nan")}, {"x": float("inf")}, {"x": [float("-inf")]},
+    {"t": (1, "a")}, {"t": [(), (1.5,)]},
+    {1: "int key"}, {2.5: "float key"}, {True: "bool key"},
+    {None: "null key"}, {("a",): "tuple key"},
+    {"o": object()}, {"s": {1, 2}}, {"n": [1, {"deep": object()}]},
+]
+
+
+def encoder_accepts(payload):
+    try:
+        json.dumps(payload)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def wire_accepts(payload):
+    """Whether ``to_wire`` accepts *payload*; when it does, the size it
+    kept for the event must be the encoder's."""
+    event = Event("app.msg")
+    event.payload = payload
+    try:
+        event.to_wire()
+    except SerializationError:
+        return False
+    assert event.size_kb == \
+        EVENT_OVERHEAD_KB + len(json.dumps(payload)) / 1024.0
+    return True
+
+
+def nested(depth, leaf, as_dict):
+    value = leaf
+    for level in range(depth):
+        value = {f"k{level}": value} if as_dict else [value]
+    return value
 
 
 def best_of_interleaved(repeats, first, second):
@@ -60,14 +127,13 @@ class TestSizeFastPath:
     @settings(max_examples=300, deadline=None)
     @given(value=JSON_VALUES)
     def test_fast_jsonable_never_lies(self, value):
-        if _jsonable_fast(value):
+        if _json_size_fast(value) >= 0:
             json.dumps(value)  # must not raise
 
     @settings(max_examples=100, deadline=None)
     @given(payload=st.dictionaries(st.text(max_size=10), JSON_VALUES,
                                    max_size=4))
     def test_event_size_matches_encoder(self, payload):
-        from repro.middleware.events import EVENT_OVERHEAD_KB
         event = Event("app.msg", payload)
         expected = EVENT_OVERHEAD_KB + len(json.dumps(payload)) / 1024.0
         assert event.size_kb == expected
@@ -90,8 +156,43 @@ class TestSizeFastPath:
     def test_exotic_payload_conservative_estimate(self):
         event = Event("app.msg")
         event.payload = {"bad": object()}
-        from repro.middleware.events import EVENT_OVERHEAD_KB
         assert event.size_kb == EVENT_OVERHEAD_KB + 256 / 1024.0
+
+
+class TestWireValidation:
+    """``to_wire`` accepts exactly the payloads ``json.dumps`` accepts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=ENCODABLE_PAYLOADS)
+    def test_encodable_payloads_are_accepted_and_priced(self, payload):
+        assert wire_accepts(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=ANY_PAYLOADS)
+    def test_accepts_exactly_what_the_encoder_accepts(self, payload):
+        assert wire_accepts(payload) == encoder_accepts(payload)
+
+    @pytest.mark.parametrize("payload", ODD_PAYLOADS)
+    def test_odd_payloads(self, payload):
+        assert wire_accepts(payload) == encoder_accepts(payload)
+
+    @pytest.mark.parametrize("leaf", [1, "\u96ea", float("nan"), (1, 2),
+                                      object()])
+    @pytest.mark.parametrize("as_dict", [False, True])
+    @pytest.mark.parametrize("depth", [15, 16, 17, 40])
+    def test_deep_nesting(self, depth, leaf, as_dict):
+        payload = {"root": nested(depth, leaf, as_dict)}
+        assert wire_accepts(payload) == encoder_accepts(payload)
+
+    def test_circular_payload_rejected(self):
+        loop = []
+        loop.append(loop)
+        assert not wire_accepts({"loop": loop})
+
+    def test_declared_size_still_wins_after_to_wire(self):
+        event = Event("app.msg", {"k": 1}, size_kb=7.5)
+        event.to_wire()
+        assert event.size_kb == 7.5
 
 
 class TestSlots:

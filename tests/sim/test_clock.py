@@ -64,37 +64,6 @@ class TestScheduling:
         assert clock.pending == 0
 
 
-class TestScheduleMany:
-    def test_matches_individual_schedules(self):
-        batched, looped = SimClock(), SimClock()
-        fired_batched, fired_looped = [], []
-        items = [(delay, fired_batched.append, (index,))
-                 for index, delay in enumerate([2.0, 0.0, 1.0, 0.0, 2.0])]
-        handles = batched.schedule_many(items)
-        for index, delay in enumerate([2.0, 0.0, 1.0, 0.0, 2.0]):
-            looped.schedule(delay, fired_looped.append, index)
-        assert len(handles) == 5
-        batched.run()
-        looped.run()
-        assert fired_batched == fired_looped
-        assert batched.processed == looped.processed
-
-    def test_handles_support_cancel(self):
-        clock = SimClock()
-        fired = []
-        handles = clock.schedule_many(
-            [(1.0, fired.append, (index,)) for index in range(4)])
-        handles[1].cancel()
-        handles[3].cancel()
-        clock.run()
-        assert fired == [0, 2]
-
-    def test_negative_delay_rejected(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            clock.schedule_many([(1.0, print, ()), (-0.5, print, ())])
-
-
 class TestCancelCompaction:
     def test_heap_stays_bounded_under_cancel_heavy_workload(self):
         """Retry/timeout pattern: schedule a far-future timeout, cancel

@@ -1,12 +1,12 @@
 """Property-based determinism for the batched simulation core.
 
-The clock (tuple-heap plus same-instant ready deque, ``schedule_many``)
-must honour the discrete-event contract on randomized schedules: the
-firing log is ordered by (time, scheduling order), cancelled handles
-never fire, and every other event due before the horizon fires exactly
-once.  The batched paths (``schedule_many``, vectorized ``send_many``)
-must reproduce their per-item twins bit-for-bit — same-instant FIFO
-ties, cancellations, lossy links, and callback interleavings included.
+The clock (tuple-heap plus same-instant ready deque) must honour the
+discrete-event contract on randomized schedules: the firing log is
+ordered by (time, scheduling order), cancelled handles never fire, and
+every other event due before the horizon fires exactly once.  The
+vectorized ``send_many`` must reproduce its per-item twin bit-for-bit —
+same-instant FIFO ties, lossy links, and callback interleavings
+included.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ SCHEDULE_SPECS = st.lists(
 HORIZON = 50.0
 
 
-def _drive(spec, cancel_picks, batch):
+def _drive(spec, cancel_picks):
     """Replay one randomized schedule; return the firing log of
     (time, scheduling order) pairs, every scheduled (due time, order)
     pair, the cancelled orders, and the clock's final state.  Each
@@ -42,13 +42,8 @@ def _drive(spec, cancel_picks, batch):
 
     for delay, __ in spec:
         scheduled.append((delay, len(scheduled)))
-    if batch:
-        handles = clock.schedule_many(
-            [(delay, fire, (i, tuple(follow)))
-             for i, (delay, follow) in enumerate(spec)])
-    else:
-        handles = [clock.schedule(delay, fire, i, tuple(follow))
-                   for i, (delay, follow) in enumerate(spec)]
+    handles = [clock.schedule(delay, fire, i, tuple(follow))
+               for i, (delay, follow) in enumerate(spec)]
     cancelled = set()
     for pick in cancel_picks:
         index = pick % len(handles)
@@ -63,8 +58,7 @@ class TestClockParity:
     @given(spec=SCHEDULE_SPECS,
            cancel_picks=st.lists(st.integers(0, 10 ** 6), max_size=8))
     def test_firing_log_honours_event_contract(self, spec, cancel_picks):
-        log, scheduled, cancelled, (now, pending) = _drive(
-            spec, cancel_picks, batch=False)
+        log, scheduled, cancelled, (now, pending) = _drive(spec, cancel_picks)
         assert log == sorted(log)
         fired = [seq for __, seq in log]
         assert not cancelled & set(fired)
@@ -73,15 +67,6 @@ class TestClockParity:
         assert sorted(log) == due
         assert now == HORIZON
         assert pending == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(spec=SCHEDULE_SPECS,
-           cancel_picks=st.lists(st.integers(0, 10 ** 6), max_size=8))
-    def test_schedule_many_matches_serial_scheduling(self, spec,
-                                                     cancel_picks):
-        batched = _drive(spec, cancel_picks, batch=True)
-        serial = _drive(spec, cancel_picks, batch=False)
-        assert batched == serial
 
 
 def _run_traffic(batch, seed, reliability, items, disconnect_after):
