@@ -37,28 +37,29 @@ def sparse_architectures(count=4, seed=4000):
 def awareness_sweep(availability, memory_constraints, models):
     """DecAp's availability on each model at each awareness step.
 
-    Returns ``{label: [value per model]}``; the labels are
-    ``connectivity`` (awareness from physical links) and the random
-    awareness fractions 0.4, 0.6, 0.8 and 1.0.
+    Returns ``{label: [value per model]}``.  The first label,
+    ``connectivity (f)``, is awareness from physical links, with ``f``
+    its mean measured awareness fraction; the others are the random
+    awareness fractions 0.6, 0.8 and 1.0.  There is no 0.4 step:
+    connectivity alone already gives about half of full awareness on
+    these architectures, so ``random_awareness(model, 0.4)`` adds at most
+    one edge (on one of E5c's 32 architectures) and its row repeats the
+    connectivity row.
     """
-    fractions = (None, 0.4, 0.6, 0.8, 1.0)  # None = connectivity-derived
-    sweep = {}
-    for fraction in fractions:
-        values = []
-        for index, model in enumerate(models):
-            if fraction is None:
-                awareness = from_connectivity(model).as_map()
-                label = "connectivity"
-            else:
-                awareness = random_awareness(model, fraction,
-                                             seed=index).as_map()
-                label = f"{fraction:.1f}"
-            result = DecApAlgorithm(availability, memory_constraints,
-                                    seed=1, awareness=awareness,
-                                    max_rounds=15).run(model)
-            values.append(result.value)
-        sweep[label] = values
-    return sweep
+    graphs = [from_connectivity(model) for model in models]
+    measured = statistics.mean(g.awareness_fraction() for g in graphs)
+    steps = [(f"connectivity ({measured:.2f})",
+              [graph.as_map() for graph in graphs])]
+    steps += [(f"{fraction:.1f}",
+               [random_awareness(model, fraction, seed=index).as_map()
+                for index, model in enumerate(models)])
+              for fraction in (0.6, 0.8, 1.0)]
+    return {
+        label: [DecApAlgorithm(availability, memory_constraints, seed=1,
+                               awareness=awareness,
+                               max_rounds=15).run(model).value
+                for model, awareness in zip(models, maps, strict=True)]
+        for label, maps in steps}
 
 
 def test_e5_awareness_sweep(availability, memory_constraints, benchmark):
@@ -90,8 +91,9 @@ def test_e5_awareness_sweep(availability, memory_constraints, benchmark):
     # 1. DecAp improves on the initial deployment at every awareness level.
     for label, value in sweep.items():
         assert value > initial, f"awareness {label} failed to improve"
-    # 2. Full awareness is at least as good as connectivity-only awareness.
-    assert sweep["1.0"] >= sweep["connectivity"] - 0.01
+    # 2. Full awareness is at least as good as connectivity-only awareness
+    #    (the first row).
+    assert sweep["1.0"] >= next(iter(sweep.values())) - 0.01
     # 3. Centralized search with global knowledge is the ceiling:
     #    decentralized quality does not exceed it by more than noise.
     assert sweep["1.0"] <= max(avala, refined) + 0.05
@@ -156,4 +158,4 @@ def test_e5c_awareness_sweep_error_bars(availability, memory_constraints):
     for label, values in sweep.items():
         assert statistics.mean(values) > statistics.mean(initial), label
     assert statistics.mean(sweep["1.0"]) >= \
-        statistics.mean(sweep["connectivity"]) - 0.01
+        statistics.mean(next(iter(sweep.values()))) - 0.01

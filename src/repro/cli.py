@@ -56,12 +56,11 @@ from repro.desi import (
     TableView, xadl,
 )
 from repro.lint import (
-    LintCache, LintReport, Severity, analyze_paths, apply_baseline,
+    LintReport, Severity, analyze_paths, apply_baseline,
     code_rule_registry, load_baseline, render_sarif, verify_fault_plan,
     verify_model, verify_schedule, verify_xadl_file, write_baseline,
 )
 from repro.plan import build_schedule, naive_schedule, schedule_from_json
-from repro.lint.cache import DEFAULT_CACHE_PATH
 from repro.middleware import DistributedSystem
 from repro.obs import Observability
 from repro.obs.capture import Capture
@@ -503,18 +502,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     reports: List[tuple] = []  # (title, LintReport)
     if args.code:
         paths = args.targets or ["src/repro"]
-        cache = None
-        if args.cache and not args.no_cache:
-            cache = LintCache.load(args.cache, code_rule_registry())
         try:
-            reports.append((", ".join(paths), analyze_paths(
-                paths, jobs=args.jobs, cache=cache)))
+            reports.append((", ".join(paths), analyze_paths(paths)))
         except ReproError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        if cache is not None:
-            cache.save()
-            print(cache.stats_line(), file=sys.stderr)
     else:
         targets = args.targets or sorted(SCENARIO_BUILDERS)
         for target in targets:
@@ -788,14 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress findings recorded in this baseline file")
     p.add_argument("--write-baseline", metavar="PATH",
                    help="record the current findings as accepted and exit 0")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="analyze files with N worker processes (--code only)")
-    p.add_argument("--cache", nargs="?", const=DEFAULT_CACHE_PATH,
-                   metavar="PATH",
-                   help="reuse per-file results for unchanged files "
-                        f"(default path: {DEFAULT_CACHE_PATH}; --code only)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache and re-analyze everything")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(

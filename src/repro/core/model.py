@@ -139,11 +139,8 @@ class Deployment(Mapping[str, str]):
         return len(self._map)
 
     def __hash__(self) -> int:
-        # Order-independent XOR over item hashes.  Unlike the previous
-        # frozenset-based hash this composes incrementally: :meth:`moved`
-        # derives a child's hash from its parent's with two XORs, so the
-        # memo-cache key costs O(1) per candidate on the search hot path
-        # instead of an O(n) rehash (plus a frozenset allocation) each.
+        # Order-independent XOR over item hashes, computed once: the
+        # mapping is immutable.
         if self._hash is None:
             value = 0
             for item in self._map.items():
@@ -174,27 +171,6 @@ class Deployment(Mapping[str, str]):
 
     def hosts_used(self) -> FrozenSet[str]:
         return frozenset(self._map.values())
-
-    # -- derivation -------------------------------------------------------------
-    def moved(self, component_id: str, host_id: str) -> "Deployment":
-        """A new deployment with one component reassigned.
-
-        When this deployment's hash is already known, the child's hash is
-        derived with two XORs instead of rehashed from scratch (a
-        Zobrist-style incremental scheme).
-        """
-        old_host = self._map.get(component_id)
-        if old_host is None:
-            raise UnknownEntityError("component", component_id)
-        new_map = dict(self._map)
-        new_map[component_id] = host_id
-        child = Deployment(new_map)
-        if self._hash is not None:
-            child._hash = (self._hash if host_id == old_host
-                           else self._hash
-                           ^ hash((component_id, old_host))
-                           ^ hash((component_id, host_id)))
-        return child
 
     def diff(self, target: "Deployment") -> Tuple["Move", ...]:
         """The moves required to turn this deployment into *target*.

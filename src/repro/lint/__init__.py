@@ -15,9 +15,8 @@ Entry points: ``python -m repro lint`` on the command line,
 rule registries for custom rules (see ``docs/STATIC_ANALYSIS.md``).
 """
 
-from repro.lint.cache import (
-    LintCache, apply_baseline, finding_fingerprint, load_baseline,
-    write_baseline,
+from repro.lint.baseline import (
+    apply_baseline, finding_fingerprint, load_baseline, write_baseline,
 )
 from repro.lint.code import (
     CODE_RULES, CodeLintContext, CodeRule, analyze_paths, analyze_source,
@@ -55,7 +54,6 @@ __all__ = [
     "FaultPlanLintContext",
     "FaultPlanRule",
     "Finding",
-    "LintCache",
     "LintReport",
     "MODEL_RULES",
     "ModelLintContext",

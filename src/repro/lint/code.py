@@ -19,14 +19,12 @@ from __future__ import annotations
 import ast
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type,
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type,
 )
 
 from repro.core.errors import ReproError
-from repro.lint.cache import LintCache, file_digest
 from repro.lint.core import (
     Finding, LintReport, Rule, RuleRegistry, Severity,
 )
@@ -453,69 +451,12 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return out
 
 
-def _analyze_file(filename: str, data: bytes,
-                  registry: Optional[RuleRegistry] = None
-                  ) -> List[Dict[str, Any]]:
-    """Analyze one file's bytes into JSON-able finding records.
-
-    This shape is what both the result cache stores and the worker
-    processes of ``--jobs N`` return, with suppression already applied.
-    It must stay picklable and registry-free so it can cross process
-    boundaries.
-    """
-    report = analyze_source(data.decode("utf-8"), filename, registry)
-    return [f.as_dict() for f in report]
-
-
-def _worker_analyze(job: Tuple[str, bytes]) -> List[Dict[str, Any]]:
-    """Top-level entry point for ``--jobs`` worker processes (must be
-    importable by name; always uses the default rule registry)."""
-    filename, data = job
-    return _analyze_file(filename, data)
-
-
 def analyze_paths(paths: Sequence[str],
-                  registry: Optional[RuleRegistry] = None,
-                  jobs: int = 1,
-                  cache: Optional[LintCache] = None) -> LintReport:
-    """Analyze every ``.py`` file under *paths* into one report.
-
-    Each file is read once.  Its findings come from *cache* when the
-    file's content hash is there, and otherwise from the rules, fanned
-    out over *jobs* worker processes when > 1.  A custom *registry*
-    forces serial in-process analysis with no cache: rule instances are
-    not shipped to workers, and the cache the CLI loads is
-    fingerprinted against the default rule set.
-    """
-    filenames = iter_python_files(paths)
-    use_cache = cache is not None and registry is None
-    found: Dict[str, Tuple[Finding, ...]] = {}
-    digests: Dict[str, str] = {}
-    pending: List[Tuple[str, bytes]] = []
-    for filename in filenames:
-        with open(filename, "rb") as handle:
-            data = handle.read()
-        if use_cache:
-            digest = digests[filename] = file_digest(data)
-            entry = cache.lookup(filename, digest)
-            if entry is not None:
-                found[filename] = LintCache.entry_findings(entry)
-                continue
-        pending.append((filename, data))
-
-    if jobs > 1 and registry is None and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker_analyze, pending))
-    else:
-        results = [_analyze_file(filename, data, registry)
-                   for filename, data in pending]
-
-    for (filename, _), records in zip(pending, results):
-        found[filename] = tuple(Finding.from_dict(d) for d in records)
-        if use_cache:
-            cache.store(filename, digests[filename], found[filename])
-
+                  registry: Optional[RuleRegistry] = None) -> LintReport:
+    """Analyze every ``.py`` file under *paths* into one report."""
     report = LintReport()
-    for filename in filenames:
-        report.extend(found[filename])
+    for filename in iter_python_files(paths):
+        with open(filename, "rb") as handle:
+            source = handle.read().decode("utf-8")
+        report.merge(analyze_source(source, filename, registry))
     return report.sorted()

@@ -101,19 +101,6 @@ class Finding:
             out["detail"] = dict(self.detail)
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the result cache)."""
-        return cls(
-            rule=data["rule"],
-            severity=Severity.parse(data["severity"]),
-            message=data["message"],
-            subject=data.get("subject", ""),
-            file=data.get("file"),
-            line=data.get("line"),
-            col=data.get("col"),
-            detail=dict(data.get("detail", {})))
-
     def __str__(self) -> str:
         where = self.location()
         prefix = f"{where}: " if where else ""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.lint.baseline import finding_fingerprint
 from repro.lint.core import Finding, LintReport, RuleRegistry, Severity
 
 SARIF_VERSION = "2.1.0"
@@ -94,7 +95,6 @@ def _json_safe(value: Any) -> bool:
 
 
 def _partial_fingerprint(finding: Finding) -> Optional[str]:
-    from repro.lint.cache import finding_fingerprint
     if finding.file is None and not finding.subject:
         return None
     return finding_fingerprint(finding)

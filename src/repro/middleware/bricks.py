@@ -338,9 +338,11 @@ class Architecture(Brick):
             "architecture": self.id,
             "components": list(self.component_ids),
             "connectors": sorted(self._connectors),
-            "welds": sorted(
+            # Two-item lists, not tuples: the event size walk prices
+            # JSON-native values only.
+            "welds": [list(weld) for weld in sorted(
                 (component_id, connector.id)
                 for connector in self._connectors.values()
                 for component_id in connector.welded
-            ),
+            )],
         }

@@ -22,9 +22,8 @@ time*, not where the host CPU did.
 
 The open-span stack is thread-local: each thread grows its own tree and
 finished roots are appended to a shared, lock-protected list.  In
-practice only the orchestrating thread opens spans — worker threads in
-the portfolio runner are measured by counters instead, which merge
-cheaply and never interleave.
+practice only the orchestrating thread opens spans: the portfolio runner
+runs its members one after another on that thread.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ class ScheduledEvent:
         self.cancelled = True
         clock = self._clock
         if clock is not None:  # still pending: update live/cancelled books
-            clock._note_cancel()
+            clock._note_cancel(self)
 
 
 class PeriodicTask:
@@ -239,11 +239,21 @@ class SimClock:
         return PeriodicTask(self, interval, callback, args)
 
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
+    def _note_cancel(self, event: ScheduledEvent) -> None:
         """A pending event was cancelled: move it from the live count to
-        the cancelled book and compact the heap when it is mostly dead."""
+        the cancelled book and compact the heap when it is mostly dead.
+
+        Only heap entries count toward compaction.  A ready-deque entry
+        is timed ``now`` with a ``seq`` at or after the deque's head (see
+        the module docstring); it drops its clock here, which tells the
+        drain loop not to take it off the heap's book when it pops it.
+        """
         self._live -= 1
         self._cancelled += 1
+        ready = self._ready
+        if event.time == self._now and ready and event.seq >= ready[0].seq:
+            event._clock = None
+            return
         self._cancelled_heap += 1
         if (self._cancelled_heap > COMPACT_MIN
                 and self._cancelled_heap * 2 > len(self._heap)):
@@ -309,8 +319,9 @@ class SimClock:
             else:
                 break
             if event.cancelled:
-                event._clock = None
-                if self._cancelled_heap:
+                # Still holding its clock: a cancelled heap entry.
+                if event._clock is not None and self._cancelled_heap:
+                    event._clock = None
                     self._cancelled_heap -= 1
                 continue
             event._clock = None

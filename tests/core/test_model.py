@@ -172,16 +172,6 @@ class TestDeploymentMapping:
 
 
 class TestDeploymentValue:
-    def test_moved_returns_new_deployment(self):
-        deployment = Deployment({"c1": "h1", "c2": "h2"})
-        moved = deployment.moved("c1", "h2")
-        assert moved["c1"] == "h2"
-        assert deployment["c1"] == "h1"
-
-    def test_moved_unknown_component(self):
-        with pytest.raises(UnknownEntityError):
-            Deployment({"c1": "h1"}).moved("cX", "h1")
-
     def test_diff_produces_moves(self):
         before = Deployment({"c1": "h1", "c2": "h2", "c3": "h1"})
         after = Deployment({"c1": "h2", "c2": "h2", "c3": "h3"})

@@ -67,17 +67,6 @@ def test_deployment_equals_its_dict(mapping):
     assert hash(deployment) == hash(Deployment(dict(mapping)))
 
 
-@given(deployment_maps, st.sampled_from([f"h{i}" for i in range(4)]))
-def test_moved_changes_exactly_one_entry(mapping, new_host):
-    deployment = Deployment(mapping)
-    component = sorted(mapping)[0]
-    moved = deployment.moved(component, new_host)
-    assert moved[component] == new_host
-    for other in mapping:
-        if other != component:
-            assert moved[other] == mapping[other]
-
-
 @given(deployment_maps, deployment_maps)
 def test_diff_applied_reaches_target(before_map, after_map):
     """Applying diff moves to `before` matches `after` on shared keys."""

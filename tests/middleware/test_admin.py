@@ -1,11 +1,14 @@
 """Tests for the Admin/Deployer migration protocol (Section 4.3)."""
 
+import json
+
 import pytest
 
 from repro.core import DeploymentModel
 from repro.core.errors import MigrationError
 from repro.middleware import AppComponent, DistributedSystem
 from repro.middleware.admin import admin_id
+from repro.middleware.events import _json_size_fast
 from repro.sim import SimClock
 
 
@@ -155,6 +158,15 @@ class TestMonitoringReports:
         model, clock, system = build_system()
         report = system.admin("h1").collect_report()
         assert "c1" in report["configuration"]["components"]
+
+    def test_report_is_priced_by_the_size_walk(self):
+        model, clock, system = build_system()
+        system.install_monitoring(ping_interval=0.5, report_interval=2.0)
+        system.emit("c0", "c1", 1.0)
+        clock.run(5.0)
+        report = system.admin("h1").collect_report()
+        assert report["configuration"]["welds"]
+        assert _json_size_fast(report) == len(json.dumps(report))
 
     def test_reports_update_deployer_view(self):
         model, clock, system = build_system()

@@ -64,7 +64,7 @@ class TestConfiguration:
         architecture, __, __members = build_bus_architecture()
         description = architecture.describe()
         assert description["components"] == ["a", "b", "c"]
-        assert ("a", "bus") in description["welds"]
+        assert ["a", "bus"] in description["welds"]
 
 
 class TestRouting:

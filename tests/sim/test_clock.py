@@ -88,6 +88,38 @@ class TestCancelCompaction:
         for keeper in keepers:
             keeper.cancel()
 
+    def test_ready_deque_cancels_do_not_trigger_compaction(
+            self, monkeypatch):
+        """Cancelled zero-delay events sit in the ready deque, never in
+        the heap, so they must not count toward heap compaction."""
+        clock = SimClock()
+        compactions = []
+        original = clock._compact
+
+        def counting_compact():
+            compactions.append(clock.now)
+            original()
+
+        monkeypatch.setattr(clock, "_compact", counting_compact)
+        fired = []
+        for index in range(100):
+            clock.schedule(100.0 + index, fired.append, index)
+
+        def churn():
+            handles = [clock.schedule(0.0, fired.append, "cancelled")
+                       for _ in range(120)]
+            for handle in handles:
+                handle.cancel()
+
+        for instant in range(1, 11):
+            clock.schedule(float(instant), churn)
+        clock.run()
+        assert compactions == []
+        assert fired == list(range(100))
+        assert clock.pending == 0
+        assert clock.processed == 110
+        assert clock._cancelled_heap == 0
+
     def test_pending_is_exact_under_cancels(self):
         clock = SimClock()
         handles = [clock.schedule(float(i % 7), lambda: None)

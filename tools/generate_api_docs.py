@@ -19,7 +19,8 @@ MODULES = [
     "repro.plan.schedule", "repro.plan.planner",
     "repro.lint.core", "repro.lint.model_rules", "repro.lint.xadl_rules",
     "repro.lint.fault_rules", "repro.lint.plan_rules",
-    "repro.lint.code", "repro.lint.determinism", "repro.lint.cache", "repro.lint.sarif",
+    "repro.lint.code", "repro.lint.determinism", "repro.lint.baseline",
+    "repro.lint.sarif",
     "repro.algorithms.base", "repro.algorithms.engine",
     "repro.algorithms.compiled", "repro.algorithms.search",
     "repro.algorithms.exact",
@@ -106,8 +107,8 @@ analyzer's rules, one file at a time: DT001 reports every use of the
 process-global RNG and every unseeded generator construction at its call
 site, DT002 wall clocks read in serialization methods, and DT003 set
 iteration order escaping into rendered output.  The production plumbing
-follows: a content-hash result cache with baseline suppression files
-(`repro.lint.cache`) and a SARIF 2.1.0 reporter (`repro.lint.sarif`).
+follows: baseline suppression files (`repro.lint.baseline`) and a SARIF
+2.1.0 reporter (`repro.lint.sarif`).
 """,
     "repro.algorithms.engine": """\
 ## Evaluation engine & algorithm portfolio
