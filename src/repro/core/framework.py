@@ -36,7 +36,7 @@ from repro.core.monitoring import MonitoringHub
 from repro.core.objectives import Objective
 from repro.core.report import ReportBase
 from repro.core.user_input import UserInput
-from repro.middleware.runtime import AppComponent, DistributedSystem
+from repro.middleware.runtime import DistributedSystem
 from repro.obs import Observability, get_observability
 from repro.sim.clock import SimClock
 
@@ -248,16 +248,8 @@ class CentralizedFramework:
 
     def app_delivery_ratio(self) -> float:
         """Ground truth: fraction of application events actually delivered."""
-        sent = 0
-        received = 0
-        for architecture in self.system.architectures.values():
-            for component in architecture.components:
-                if isinstance(component, AppComponent):
-                    sent += component.sent_count
-                    received += component.received_count
-        if sent == 0:
-            return 1.0
-        return received / sent
+        sent, received = self.system.delivery_counts()
+        return received / sent if sent else 1.0
 
     def status(self) -> Dict[str, Any]:
         return {

@@ -11,9 +11,7 @@ comparisons.
 
 from __future__ import annotations
 
-import pickle
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,10 +22,10 @@ from repro.core.model import DeploymentModel
 from repro.core.objectives import Objective
 from repro.core.report import ReportBase
 from repro.desi.generator import Generator, GeneratorConfig
+from repro.desi.views import _render_table
 from repro.desi.xadl import from_xml, to_xml
 from repro.lint.model_rules import verify_deployment
-from repro.obs import Observability, get_observability
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observability, fan_out, get_observability
 
 AlgorithmFactory = Callable[[], DeploymentAlgorithm]
 
@@ -118,21 +116,9 @@ class ExperimentReport(ReportBase):
         if include_timing:
             headers.append("time (ms)")
         headers.append("moves")
-        formatted = [
+        return _render_table(headers, (
             [f"{v:.4f}" if isinstance(v, float) else str(v) for v in row]
-            for row in self.rows(include_timing)
-        ]
-        widths = [len(h) for h in headers]
-        for row in formatted:
-            for index, cell in enumerate(row):
-                widths[index] = max(widths[index], len(cell))
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(headers, widths, strict=True)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        lines += [" | ".join(c.ljust(w) for c, w in zip(row, widths, strict=True))
-                  for row in formatted]
-        return "\n".join(lines)
+            for row in self.rows(include_timing)))
 
     def engine_counters(self) -> Dict[str, int]:
         """Engine counters summed across every cell of the sweep."""
@@ -205,11 +191,11 @@ class ExperimentRunner:
             Algorithm factories must be picklable (module-level functions
             or ``functools.partial``, not lambdas).
         obs: Observability bundle the sweep reports into.  Defaults to the
-            process-wide bundle.  In serial mode cells are instrumented
-            in-process; in workers mode each worker records into a private
-            registry that is shipped back (as metric lines) and merged into
-            this bundle, so serial and parallel sweeps report identical
-            counters.  Disabled bundles cost nothing and change nothing.
+            process-wide bundle.  Cells run through
+            :func:`repro.obs.fan_out`: each records into a private registry
+            whose lines are merged into this bundle, so serial and parallel
+            sweeps report identical counters.  Disabled bundles cost
+            nothing and change nothing.
     """
 
     def __init__(self, objective: Objective,
@@ -243,18 +229,6 @@ class ExperimentRunner:
                     f"generated model {model.name!r} failed static "
                     "verification", findings=report.errors)
 
-    def _check_picklable(self) -> None:
-        """Reject unpicklable factories before spawning any worker."""
-        for name in sorted(self.algorithms):
-            try:
-                pickle.dumps(self.algorithms[name])
-            except Exception as exc:
-                raise ReproError(
-                    f"workers mode requires picklable algorithm factories, "
-                    f"but {name!r} cannot be pickled ({exc}); use a "
-                    "module-level function or functools.partial instead of "
-                    "a lambda or closure") from exc
-
     def run(self, families: Dict[str, GeneratorConfig]) -> ExperimentReport:
         """Execute the sweep; returns per-cell aggregates."""
         with self.obs.span("desi.sweep", families=len(families),
@@ -263,7 +237,6 @@ class ExperimentRunner:
             return self._run(families)
 
     def _run(self, families: Dict[str, GeneratorConfig]) -> ExperimentReport:
-        report = ExperimentReport(self.objective.name)
         # Generate + verify + score initials in-process, then freeze every
         # family to xADL: serial and worker cells both reconstruct models
         # from the same bytes, so the two modes cannot diverge.
@@ -282,62 +255,31 @@ class ExperimentRunner:
                         for m in models]
             prepared.append((family, tuple(to_xml(m) for m in models),
                              initials))
-        observed = self.obs.metrics.enabled
         jobs = [
             (family, algorithm_name, self.algorithms[algorithm_name],
-             model_xmls, initials, self.max_evaluations, observed)
+             model_xmls, initials, self.max_evaluations)
             for family, model_xmls, initials in prepared
             for algorithm_name in sorted(self.algorithms)
         ]
-        if self.workers is not None and self.workers > 1:
-            self._check_picklable()
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(pool.map(_run_cell_job, jobs))
-        else:
-            outcomes = [_run_cell_job(job) for job in jobs]
-        for cell, metric_lines in outcomes:
-            report.cells.append(cell)
-            self._absorb(cell, metric_lines)
+        report = ExperimentReport(
+            self.objective.name,
+            fan_out(_run_cell_job, jobs, self.workers, self.obs, ReproError))
+        # Parent-side, so workers-mode sweeps still get one span per cell.
+        for cell in report.cells:
+            with self.obs.span("desi.cell", family=cell.family,
+                               algorithm=cell.algorithm) as span:
+                span.set(runs=cell.runs, failures=cell.failures,
+                         truncated=cell.truncated_runs)
         return report
 
-    def _absorb(self, cell: CellResult, metric_lines: Optional[list]) -> None:
-        """Merge one cell's worker-side metrics into the sweep's bundle
-        and mirror the cell as a span (parent-side, so workers-mode sweeps
-        still produce one span per cell)."""
-        if not self.obs.enabled:
-            return
-        if metric_lines:
-            shipped = MetricsRegistry()
-            for line in metric_lines:
-                shipped.load_line(line)
-            self.obs.metrics.merge(shipped)
-        with self.obs.span("desi.cell", family=cell.family,
-                           algorithm=cell.algorithm) as span:
-            span.set(runs=cell.runs, failures=cell.failures,
-                     truncated=cell.truncated_runs)
 
-
-def _run_cell_job(job: Tuple) -> Tuple[CellResult, Optional[list]]:
-    """One (family, algorithm) cell; module-level so process pools can
-    pickle it.  Models arrive as xADL strings and are rebuilt here, in the
-    worker (or inline in serial mode).  Returns the cell plus (when the
-    sweep is observed) the worker's metric lines for parent-side merging —
-    registries themselves never cross the process boundary."""
+def _run_cell_job(job: Tuple, obs: Observability) -> CellResult:
+    """One (family, algorithm) cell; module-level so worker processes can
+    unpickle it.  Models arrive as xADL strings and are rebuilt here, in
+    the worker (or inline in serial mode); counters go to *obs*."""
     (family, algorithm_name, factory, model_xmls, initials,
-     max_evaluations, observed) = job
+     max_evaluations) = job
     models = [from_xml(text) for text in model_xmls]
-    registry = MetricsRegistry() if observed else None
-    cell = _execute_cell(family, algorithm_name, factory, models, initials,
-                         max_evaluations, registry)
-    return cell, (registry.to_lines() if registry is not None else None)
-
-
-def _execute_cell(family: str, algorithm_name: str,
-                  factory: AlgorithmFactory,
-                  models: Sequence[DeploymentModel],
-                  initials: Sequence[float],
-                  max_evaluations: Optional[int],
-                  registry: Optional[MetricsRegistry] = None) -> CellResult:
     values: List[float] = []
     elapsed: List[float] = []
     moves: List[float] = []
@@ -397,11 +339,10 @@ def _execute_cell(family: str, algorithm_name: str,
         truncated_runs=truncated,
         engine_counters=dict(sorted(engine_totals.items())),
     )
-    if registry is not None:
-        labels = {"family": family, "algorithm": algorithm_name}
-        registry.counter("desi.runs", **labels).inc(len(models))
-        registry.counter("desi.failures", **labels).inc(failures)
-        registry.counter("desi.truncated", **labels).inc(truncated)
-        for key, value in engine_totals.items():
-            registry.counter(f"algorithms.engine.{key}", **labels).inc(value)
+    labels = {"family": family, "algorithm": algorithm_name}
+    obs.counter("desi.runs", **labels).inc(len(models))
+    obs.counter("desi.failures", **labels).inc(failures)
+    obs.counter("desi.truncated", **labels).inc(truncated)
+    for key, value in engine_totals.items():
+        obs.counter(f"algorithms.engine.{key}", **labels).inc(value)
     return cell

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import gc
 import json
-import pickle
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,9 +37,8 @@ from repro.core.framework import CentralizedFramework
 from repro.core.report import ReportBase
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.middleware.runtime import AppComponent, DistributedSystem
-from repro.obs import MetricsRegistry, Observability, get_observability
-from repro.obs.trace import NULL_TRACER
+from repro.middleware.runtime import DistributedSystem
+from repro.obs import Observability, fan_out, get_observability
 from repro.scenarios import (
     CrisisConfig, build_client_server, build_crisis_scenario,
     build_sensor_field,
@@ -233,16 +230,6 @@ class CampaignSuiteReport(ReportBase):
                 f"{self.worst_delivered_availability:.3f}")
 
 
-def _delivery_counts(system: DistributedSystem) -> Dict[str, int]:
-    sent = received = 0
-    for architecture in system.architectures.values():
-        for component in architecture.components:
-            if isinstance(component, AppComponent):
-                sent += component.sent_count
-                received += component.received_count
-    return {"sent": sent, "received": received}
-
-
 def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
                  seed: int = 0, scenario: str = "crisis",
                  duration: Optional[float] = None, improve: bool = True,
@@ -296,12 +283,10 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
             :class:`CampaignSuiteReport` instead of a single report.
         workers: Process-pool fan-out for suites.  ``None``/1 runs every
             (plan, seed) job serially in-process; ``N > 1`` maps the same
-            jobs over ``N`` worker processes.  Both modes execute the
-            identical module-level job function per campaign, so for the
-            same inputs the suite renders byte-identically — campaigns
-            are pure functions of (plan, seed), and worker-side metrics
-            ship home as lines merged into *obs* just as in
-            :class:`repro.desi.batch.ExperimentRunner`.  A
+            jobs over ``N`` worker processes.  Both modes run through
+            :func:`repro.obs.fan_out`, so for the same inputs the suite
+            renders byte-identically — campaigns are pure functions of
+            (plan, seed) — and reports identical metrics into *obs*.  A
             *system_factory* must be picklable in workers mode.
 
     Passing a plan sequence, *seeds*, or *workers* selects suite mode
@@ -322,7 +307,7 @@ def run_campaign(plan: Union[FaultPlan, Sequence[FaultPlan]],
         return _run_single_campaign(
             plans[0], seed, scenario, duration, improve, monitor_interval,
             cycles_per_analysis, system_factory, planner, effector_options,
-            obs, rate_scale)
+            rate_scale, obs)
     seed_list = [seed] if seeds is None else [int(s) for s in seeds]
     if not seed_list:
         raise FaultPlanError("seeds must be non-empty")
@@ -339,8 +324,7 @@ def _run_single_campaign(
         system_factory: Optional[Callable[[SimClock, int],
                                           DistributedSystem]],
         planner: bool, effector_options: Optional[Dict[str, Any]],
-        obs: Optional[Observability],
-        rate_scale: float = 1.0,
+        rate_scale: float, obs: Optional[Observability],
         ) -> ResilienceReport:
     """One campaign, exactly as :func:`run_campaign` always ran it."""
     started_wall = _time.perf_counter()
@@ -410,9 +394,8 @@ def _run_single_campaign(
         framework.stop()
     injector.disarm()
 
-    counts = _delivery_counts(system)
-    delivered = (counts["received"] / counts["sent"]
-                 if counts["sent"] else 1.0)
+    sent, received = system.delivery_counts()
+    delivered = received / sent if sent else 1.0
     system.network.apply_to_model(model)
     final_deployment = system.actual_deployment()
     modeled = objective.evaluate(model, final_deployment)
@@ -456,8 +439,8 @@ def _run_single_campaign(
         seed=seed,
         duration=run_for,
         improvement_loop=framework is not None,
-        events_sent=counts["sent"],
-        events_received=counts["received"],
+        events_sent=sent,
+        events_received=received,
         emissions_skipped=system.emissions_skipped,
         delivered_availability=delivered,
         modeled_availability=modeled,
@@ -479,37 +462,10 @@ def _run_single_campaign(
     )
 
 
-def _campaign_job(job: Tuple) -> Tuple[ResilienceReport, Optional[list]]:
-    """One (plan, seed) campaign; module-level so process pools can
-    pickle it.  Serial suites run this very function inline, so the two
-    modes cannot diverge.  When the suite is observed the job records
-    into a private registry and returns its metric lines for parent-side
-    merging — registries never cross the process boundary."""
-    (plan, job_seed, scenario, duration, improve, monitor_interval,
-     cycles_per_analysis, system_factory, planner, effector_options,
-     rate_scale, observed) = job
-    registry = MetricsRegistry() if observed else None
-    job_obs = (Observability(metrics=registry, tracer=NULL_TRACER)
-               if registry is not None else Observability.disabled())
-    report = _run_single_campaign(
-        plan, job_seed, scenario, duration, improve, monitor_interval,
-        cycles_per_analysis, system_factory, planner, effector_options,
-        job_obs, rate_scale)
-    return report, (registry.to_lines() if registry is not None else None)
-
-
-def _check_picklable(plans: Sequence[FaultPlan], **named: Any) -> None:
-    """Reject unpicklable suite inputs before spawning any worker."""
-    named = dict(named, plans=tuple(plans))
-    for name in sorted(named):
-        try:
-            pickle.dumps(named[name])
-        except Exception as exc:
-            raise FaultPlanError(
-                f"workers mode requires picklable campaign inputs, but "
-                f"{name!r} cannot be pickled ({exc}); use module-level "
-                "functions or functools.partial instead of lambdas or "
-                "closures") from exc
+def _campaign_job(job: Tuple, obs: Observability) -> ResilienceReport:
+    """One (plan, seed) campaign of a suite; module-level so worker
+    processes can unpickle it."""
+    return _run_single_campaign(*job, obs)
 
 
 def _run_suite(plans: List[FaultPlan], seeds: List[int],
@@ -522,35 +478,21 @@ def _run_suite(plans: List[FaultPlan], seeds: List[int],
                obs: Optional[Observability],
                rate_scale: float = 1.0,
                ) -> CampaignSuiteReport:
-    """Fan (plans x seeds) out over a process pool (or run serially)."""
+    """Run (plans x seeds) through :func:`repro.obs.fan_out`."""
     obs = obs if obs is not None else get_observability()
-    observed = obs.metrics.enabled
     jobs = [
         (plan, job_seed, scenario, duration, improve, monitor_interval,
          cycles_per_analysis, system_factory, planner, effector_options,
-         rate_scale, observed)
+         rate_scale)
         for plan in plans for job_seed in seeds
     ]
+    suite = CampaignSuiteReport(
+        scenario="custom" if system_factory is not None else scenario)
     with obs.span("faults.suite", plans=len(plans), seeds=len(seeds),
                   workers=workers or 1):
-        if workers is not None and workers > 1:
-            _check_picklable(plans, system_factory=system_factory,
-                             effector_options=effector_options)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_campaign_job, jobs))
-        else:
-            outcomes = [_campaign_job(job) for job in jobs]
-        suite = CampaignSuiteReport(
-            scenario="custom" if system_factory is not None else scenario)
-        for report, metric_lines in outcomes:
-            suite.runs.append(report)
-            if not obs.enabled:
-                continue
-            if metric_lines:
-                shipped = MetricsRegistry()
-                for line in metric_lines:
-                    shipped.load_line(line)
-                obs.metrics.merge(shipped)
+        suite.runs = fan_out(_campaign_job, jobs, workers, obs,
+                             FaultPlanError)
+        for report in suite.runs:
             with obs.span("faults.campaign", plan=report.plan_name,
                           seed=report.seed) as span:
                 span.set(delivered=report.delivered_availability,

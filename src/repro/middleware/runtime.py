@@ -218,6 +218,16 @@ class DistributedSystem:
                     placement[component_id] = host
         return placement
 
+    def delivery_counts(self) -> Tuple[int, int]:
+        """Ground-truth ``(sent, received)`` over every AppComponent."""
+        sent = received = 0
+        for architecture in self.architectures.values():
+            for component in architecture.components:
+                if isinstance(component, AppComponent):
+                    sent += component.sent_count
+                    received += component.received_count
+        return sent, received
+
     # ------------------------------------------------------------------
     # Monitoring management
     # ------------------------------------------------------------------

@@ -29,12 +29,21 @@ or process-wide for code you don't construct yourself::
 
 Instrumented constructors resolve ``obs=None`` to the process default
 via :func:`get_observability`, so both styles reach every subsystem.
+
+:func:`fan_out` runs independent jobs (DeSi sweep cells, campaign-suite
+runs) inline or over worker processes and brings each job's metrics
+home, so both modes report into one bundle identically.
 """
 
 from __future__ import annotations
 
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from itertools import repeat
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type,
+)
 
 from .capture import Capture
 from .metrics import (
@@ -47,7 +56,7 @@ __all__ = [
     "Observability", "MetricsRegistry", "NullMetrics", "NULL_METRICS",
     "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
     "Tracer", "NullTracer", "NULL_TRACER", "Span", "Capture",
-    "get_observability", "set_observability", "observe",
+    "get_observability", "set_observability", "observe", "fan_out",
 ]
 
 
@@ -133,3 +142,51 @@ def observe(obs: Optional[Observability] = None) -> Iterator[Observability]:
         yield installed
     finally:
         set_observability(previous)
+
+
+def fan_out(job: Callable[[Any, Observability], Any], items: Sequence[Any],
+            workers: Optional[int], obs: Observability,
+            error: Type[Exception]) -> List[Any]:
+    """Run ``job(item, job_obs)`` for every item; results in item order.
+
+    ``workers`` of ``None``/1 runs the jobs inline; ``N > 1`` maps them
+    over ``N`` worker processes, so *job* must be a module-level function
+    and every item must pickle (checked before any process starts; a
+    failure raises *error*).  Each job records into a private metrics-only
+    bundle (disabled when *obs* collects no metrics) whose lines are
+    merged into *obs* in item order, so both modes return equal results
+    and leave equal metrics in *obs*.  Spans stay with the caller.
+    """
+    observed = obs.metrics.enabled
+    if workers is not None and workers > 1:
+        for index, item in enumerate(items):
+            try:
+                pickle.dumps(item)
+            except Exception as exc:
+                raise error(
+                    f"workers mode requires picklable jobs, but job {index} "
+                    f"cannot be pickled ({exc}); use module-level functions "
+                    "or functools.partial instead of lambdas or closures"
+                ) from exc
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_job, repeat(job), items,
+                                     repeat(observed)))
+    else:
+        outcomes = [_run_job(job, item, observed) for item in items]
+    results = []
+    for result, metric_lines in outcomes:
+        shipped = MetricsRegistry()
+        for line in metric_lines:
+            shipped.load_line(line)
+        obs.metrics.merge(shipped)
+        results.append(result)
+    return results
+
+
+def _run_job(job: Callable[[Any, Observability], Any], item: Any,
+             observed: bool) -> Tuple[Any, List[Dict[str, Any]]]:
+    """One job with its own bundle; registries never cross the process
+    boundary, only their JSON-safe lines do."""
+    job_obs = (Observability(metrics=MetricsRegistry(), tracer=NULL_TRACER)
+               if observed else NULL_OBS)
+    return job(item, job_obs), job_obs.metrics.to_lines()
