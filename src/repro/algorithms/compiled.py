@@ -12,12 +12,14 @@ at machine speed:
 
 * :class:`CompiledModel` — an immutable snapshot of a
   :class:`~repro.core.model.DeploymentModel`: component/host index maps,
-  CSR-style adjacency over logical links with per-edge ``(frequency,
-  event_size, criticality)`` arrays, dense host×host matrices of the
-  physical-link parameters (reliability, bandwidth, delay, security), and
-  per-component memory/CPU vectors.  Snapshots are cached per model and
-  invalidated through the model's listener events, so monitors writing
-  fresh observations trigger recompilation on next use.
+  per-edge ``(frequency, event_size, criticality)`` arrays over the
+  logical links, an ``adjacency`` tuple of ``(neighbor, edge)`` pairs per
+  component (what every O(degree) loop walks), dense host×host matrices
+  of the physical-link parameters (reliability, bandwidth, delay,
+  security), and per-component memory/CPU vectors.  Snapshots are
+  cached per model and invalidated through the model's listener events,
+  so monitors writing fresh observations trigger recompilation on next
+  use.
 * A deployment in this view is a list of host indices, one per component
   (:meth:`CompiledModel.encode` / :meth:`CompiledModel.decode`); the
   evaluation engine memoizes scores on its tuple.
@@ -76,7 +78,7 @@ class CompiledModel:
         "n_hosts", "n_components",
         "edge_a", "edge_b", "edge_frequency", "edge_evt_size",
         "edge_criticality", "edge_volume",
-        "adj_indptr", "adj_neighbor", "adj_edge",
+        "adjacency",
         "reliability", "bandwidth", "delay", "security", "link_up",
         "component_memory", "component_cpu",
         "host_memory", "host_cpu", "host_battery",
@@ -116,24 +118,15 @@ class CompiledModel:
         self.edge_volume = [f * s for f, s in
                             zip(edge_frequency, edge_evt_size, strict=True)]
 
-        # -- CSR adjacency: neighbors sorted by id (= index) per component --
+        # -- adjacency: (neighbor, edge) pairs sorted by neighbor id
+        # (= index), one tuple per component --
         per_component: List[List[Tuple[int, int]]] = [
             [] for _ in range(self.n_components)]
         for edge, (a, b) in enumerate(zip(edge_a, edge_b, strict=True)):
             per_component[a].append((b, edge))
             per_component[b].append((a, edge))
-        indptr = [0]
-        neighbor: List[int] = []
-        adj_edge: List[int] = []
-        for entries in per_component:
-            entries.sort()
-            for n, e in entries:
-                neighbor.append(n)
-                adj_edge.append(e)
-            indptr.append(len(neighbor))
-        self.adj_indptr = indptr
-        self.adj_neighbor = neighbor
-        self.adj_edge = adj_edge
+        self.adjacency: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+            tuple(sorted(entries)) for entries in per_component)
 
         # -- physical links: dense host×host matrices ----------------------
         # Semantics mirror the model's derived queries exactly:
@@ -205,15 +198,6 @@ class CompiledModel:
                 out[self.component_ids[component_index]] = \
                     self.host_ids[host_idx]
         return out
-
-    def neighbors(self, component_index: int) -> range:
-        """CSR slice bounds for one component's adjacency entries."""
-        return range(self.adj_indptr[component_index],
-                     self.adj_indptr[component_index + 1])
-
-    def degree(self, component_index: int) -> int:
-        return (self.adj_indptr[component_index + 1]
-                - self.adj_indptr[component_index])
 
     def __repr__(self) -> str:
         return (f"CompiledModel({self.name!r}, gen={self.generation}, "
@@ -305,62 +289,86 @@ class Kernel:
                 f"gen={self.cm.generation})")
 
 
-class AvailabilityKernel(Kernel):
-    """Kernel for :class:`AvailabilityObjective` (criticality-aware)."""
+class _PairWeightKernel(Kernel):
+    """Shared shape of the availability and security kernels.
 
-    def __init__(self, objective: AvailabilityObjective,
-                 compiled: CompiledModel):
+    The value is ``sum(weight · matrix[host_a][host_b]) / sum(weight)``
+    over the edges of positive weight whose ends are both deployed.  At
+    build time the positive edges are kept as ``(a, b, weight)`` triples
+    (with their weight sum, accumulated in edge order like the object
+    path) and as ``(neighbor, weight)`` rows per component, in adjacency
+    order, so neither loop tests a weight or follows an edge index.
+    ``total_weight`` is each objective's own delta denominator.
+    """
+
+    def __init__(self, objective: Objective, compiled: CompiledModel,
+                 matrix: List[List[float]], edge_weight: Sequence[float],
+                 total_weight: float):
         super().__init__(objective, compiled)
-        if objective.use_criticality:
-            self.edge_weight = [
-                f * c for f, c in zip(compiled.edge_frequency,
-                                      compiled.edge_criticality, strict=True)]
-        else:
-            self.edge_weight = compiled.edge_frequency
-        # Deployment-independent denominator; computed once per snapshot.
-        self.total_weight = sum(self.edge_weight)
+        self.matrix = matrix
+        self.total_weight = total_weight
+        self.rows: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
+            tuple((neighbor, edge_weight[edge])
+                  for neighbor, edge in adjacent if edge_weight[edge] > 0.0)
+            for adjacent in compiled.adjacency)
+        positive_edges: List[Tuple[int, int, float]] = []
+        positive_total = 0.0
+        for a, b, weight in zip(compiled.edge_a, compiled.edge_b,
+                                edge_weight, strict=True):
+            if weight > 0.0:
+                positive_edges.append((a, b, weight))
+                positive_total += weight
+        self.positive_edges = tuple(positive_edges)
+        self.positive_total = positive_total
+        #: What an undeployed mover "leaves": weight · (new - 0.0).
+        self._zero_row = [0.0] * compiled.n_hosts
 
     def evaluate(self, assignment: Sequence[int]) -> float:
-        cm = self.cm
-        rel = cm.reliability
-        total = 0.0
-        delivered = 0.0
-        for edge, weight in enumerate(self.edge_weight):
-            if weight <= 0.0:
-                continue
-            total += weight
-            host_a = assignment[cm.edge_a[edge]]
-            host_b = assignment[cm.edge_b[edge]]
-            if host_a == UNDEPLOYED or host_b == UNDEPLOYED:
-                continue
-            delivered += weight * rel[host_a][host_b]
+        total = self.positive_total
         if total == 0.0:
             return 1.0
-        return delivered / total
+        matrix = self.matrix
+        served = 0.0
+        for a, b, weight in self.positive_edges:
+            host_a = assignment[a]
+            host_b = assignment[b]
+            if host_a == UNDEPLOYED or host_b == UNDEPLOYED:
+                continue
+            served += weight * matrix[host_a][host_b]
+        return served / total
 
     def move_delta(self, assignment: Sequence[int], component_index: int,
                    new_host_index: int) -> float:
         total = self.total_weight
         if total == 0.0:
             return 0.0
-        cm = self.cm
-        rel = cm.reliability
+        matrix = self.matrix
         old_host = assignment[component_index]
-        new_rel_row = rel[new_host_index]
-        old_rel_row = rel[old_host] if old_host != UNDEPLOYED else None
-        delta_delivered = 0.0
-        for k in cm.neighbors(component_index):
-            weight = self.edge_weight[cm.adj_edge[k]]
-            if weight <= 0.0:
-                continue
-            neighbor_host = assignment[cm.adj_neighbor[k]]
-            if neighbor_host == UNDEPLOYED:
-                continue
-            new_rel = new_rel_row[neighbor_host]
-            old_rel = (old_rel_row[neighbor_host]
-                       if old_rel_row is not None else 0.0)
-            delta_delivered += weight * (new_rel - old_rel)
-        return delta_delivered / total
+        new_row = matrix[new_host_index]
+        old_row = (matrix[old_host] if old_host != UNDEPLOYED
+                   else self._zero_row)
+        delta = 0.0
+        for neighbor, weight in self.rows[component_index]:
+            host = assignment[neighbor]
+            if host != UNDEPLOYED:
+                delta += weight * (new_row[host] - old_row[host])
+        return delta / total
+
+
+class AvailabilityKernel(_PairWeightKernel):
+    """Kernel for :class:`AvailabilityObjective` (criticality-aware)."""
+
+    def __init__(self, objective: AvailabilityObjective,
+                 compiled: CompiledModel):
+        if objective.use_criticality:
+            edge_weight = [
+                f * c for f, c in zip(compiled.edge_frequency,
+                                      compiled.edge_criticality, strict=True)]
+        else:
+            edge_weight = compiled.edge_frequency
+        # Deployment-independent denominator; computed once per snapshot.
+        super().__init__(objective, compiled, compiled.reliability,
+                         edge_weight, sum(edge_weight))
 
 
 class LatencyKernel(Kernel):
@@ -420,12 +428,11 @@ class LatencyKernel(Kernel):
         cm = self.cm
         old_host = assignment[component_index]
         delta = 0.0
-        for k in cm.neighbors(component_index):
-            edge = cm.adj_edge[k]
+        for neighbor, edge in cm.adjacency[component_index]:
             frequency = cm.edge_frequency[edge]
             if frequency <= 0.0:
                 continue
-            neighbor_host = assignment[cm.adj_neighbor[k]]
+            neighbor_host = assignment[neighbor]
             if neighbor_host == UNDEPLOYED:
                 continue
             evt_size = cm.edge_evt_size[edge]
@@ -456,9 +463,9 @@ class CommunicationCostKernel(Kernel):
         cm = self.cm
         old_host = assignment[component_index]
         delta = 0.0
-        for k in cm.neighbors(component_index):
-            volume = cm.edge_volume[cm.adj_edge[k]]
-            neighbor_host = assignment[cm.adj_neighbor[k]]
+        for neighbor, edge in cm.adjacency[component_index]:
+            volume = cm.edge_volume[edge]
+            neighbor_host = assignment[neighbor]
             old_remote = (neighbor_host == UNDEPLOYED
                           or old_host == UNDEPLOYED
                           or old_host != neighbor_host)
@@ -468,54 +475,14 @@ class CommunicationCostKernel(Kernel):
         return delta
 
 
-class SecurityKernel(Kernel):
+class SecurityKernel(_PairWeightKernel):
     """Kernel for :class:`SecurityObjective`."""
 
     def __init__(self, objective: SecurityObjective,
                  compiled: CompiledModel):
-        super().__init__(objective, compiled)
-        self.total_weight = sum(f for f in compiled.edge_frequency if f > 0.0)
-
-    def evaluate(self, assignment: Sequence[int]) -> float:
-        cm = self.cm
-        security = cm.security
-        total = 0.0
-        secured = 0.0
-        for edge, weight in enumerate(cm.edge_frequency):
-            if weight <= 0.0:
-                continue
-            total += weight
-            host_a = assignment[cm.edge_a[edge]]
-            host_b = assignment[cm.edge_b[edge]]
-            if host_a == UNDEPLOYED or host_b == UNDEPLOYED:
-                continue
-            secured += weight * security[host_a][host_b]
-        if total == 0.0:
-            return 1.0
-        return secured / total
-
-    def move_delta(self, assignment: Sequence[int], component_index: int,
-                   new_host_index: int) -> float:
-        total = self.total_weight
-        if total == 0.0:
-            return 0.0
-        cm = self.cm
-        security = cm.security
-        old_host = assignment[component_index]
-        new_row = security[new_host_index]
-        old_row = security[old_host] if old_host != UNDEPLOYED else None
-        delta_secured = 0.0
-        for k in cm.neighbors(component_index):
-            weight = cm.edge_frequency[cm.adj_edge[k]]
-            if weight <= 0.0:
-                continue
-            neighbor_host = assignment[cm.adj_neighbor[k]]
-            if neighbor_host == UNDEPLOYED:
-                continue
-            new_sec = new_row[neighbor_host]
-            old_sec = old_row[neighbor_host] if old_row is not None else 0.0
-            delta_secured += weight * (new_sec - old_sec)
-        return delta_secured / total
+        super().__init__(objective, compiled, compiled.security,
+                         compiled.edge_frequency,
+                         sum(f for f in compiled.edge_frequency if f > 0.0))
 
 
 class ThroughputKernel(Kernel):
@@ -593,9 +560,9 @@ class ThroughputKernel(Kernel):
             return 0.0
         volume_changes: Dict[Tuple[int, int], float] = {}
         count_changes: Dict[Tuple[int, int], int] = {}
-        for k in cm.neighbors(component_index):
-            volume = cm.edge_volume[cm.adj_edge[k]]
-            neighbor_host = assignment[cm.adj_neighbor[k]]
+        for neighbor, edge in cm.adjacency[component_index]:
+            volume = cm.edge_volume[edge]
+            neighbor_host = assignment[neighbor]
             if neighbor_host == UNDEPLOYED:
                 continue
             if old_host != UNDEPLOYED and old_host != neighbor_host:
@@ -718,9 +685,9 @@ class DurabilityKernel(Kernel):
         if old_host != UNDEPLOYED:
             cpu_scratch[old_host] -= cpu
         cpu_scratch[new_host_index] += cpu
-        for k in cm.neighbors(component_index):
-            volume = cm.edge_volume[cm.adj_edge[k]]
-            neighbor_host = assignment[cm.adj_neighbor[k]]
+        for neighbor, edge in cm.adjacency[component_index]:
+            volume = cm.edge_volume[edge]
+            neighbor_host = assignment[neighbor]
             if neighbor_host == UNDEPLOYED:
                 continue
             if old_host != UNDEPLOYED and old_host != neighbor_host:

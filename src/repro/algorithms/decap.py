@@ -142,9 +142,8 @@ class DecApAlgorithm(DeploymentAlgorithm):
         ci = cm.component_index[component]
         hosts = checker.assignment
         volume = [0.0] * cm.n_hosts
-        for k in range(cm.adj_indptr[ci], cm.adj_indptr[ci + 1]):
-            volume[hosts[cm.adj_neighbor[k]]] += \
-                cm.edge_volume[cm.adj_edge[k]]
+        for neighbor, edge in cm.adjacency[ci]:
+            volume[hosts[neighbor]] += cm.edge_volume[edge]
         bids: Dict[str, float] = {}
         for bidder in sorted(bidders):
             hi = cm.host_index.get(bidder)

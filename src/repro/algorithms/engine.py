@@ -14,10 +14,12 @@ Two hot-path observations drive this module:
   :meth:`EvaluationEngine.evaluate` encodes a mapping and delegates, so
   both share one memo.  Misses go to the objective's compiled kernel, or
   to ``Objective.evaluate`` when it has none.  Single-component moves are
-  scored the same way: :meth:`EvaluationEngine.move_delta_indexed` takes
-  the encoded list plus a component and host index and routes through an
-  O(degree) delta (the compiled kernel's, or the objective's own
-  ``move_delta``) whenever the objective declares ``supports_delta``;
+  scored the same way: :meth:`EvaluationEngine.delta_route` resolves,
+  once per model snapshot, a callable that takes the encoded list plus a
+  component and host index and routes through an O(degree) delta (the
+  compiled kernel's, or the objective's own ``move_delta``) whenever the
+  objective declares ``supports_delta``.
+  :meth:`EvaluationEngine.move_delta_indexed` is one call through it, and
   :meth:`EvaluationEngine.move_delta` encodes a mapping and delegates.
 
 * One failing algorithm must not abort the monitor→analyze→effect loop.
@@ -350,28 +352,57 @@ class EvaluationEngine:
                            host_index: int) -> float:
         """Objective change for one move in an encoded deployment.
 
-        Routed through the objective's compiled kernel in O(degree) when
-        one exists, else its ``move_delta`` on the decoded mapping when it
-        declares ``supports_delta``; otherwise served by two (memoized)
-        full evaluations.
+        One call through :meth:`delta_route`; a caller scoring many moves
+        on one model should hold the route instead.
         """
-        if getattr(self.objective, "supports_delta", False):
-            self._charge()
+        return self.delta_route(model)(assignment, component_index,
+                                       host_index)
+
+    def delta_route(self, model: DeploymentModel,
+                    ) -> Callable[[Sequence[int], int, int], float]:
+        """:meth:`move_delta_indexed` as a callable, resolved once.
+
+        The route takes ``(assignment, component_index, host_index)`` in
+        *model*'s current snapshot and goes through the objective's compiled
+        kernel in O(degree) when one exists, else its ``move_delta`` on
+        the decoded mapping when it declares ``supports_delta``; otherwise
+        each move costs two (memoized) full evaluations.  Every call
+        charges the budget and bumps the counters of the engine's current
+        :attr:`stats`.  The route keeps the snapshot it was resolved
+        against, so hold it no longer than that snapshot is current.
+        """
+        if not getattr(self.objective, "supports_delta", False):
+            def fallback(assignment: Sequence[int], component_index: int,
+                         host_index: int) -> float:
+                self.stats.delta_fallbacks += 1
+                base = self.evaluate_encoded(model, assignment)
+                moved = list(assignment)
+                moved[component_index] = host_index
+                return self.evaluate_encoded(model, moved) - base
+            return fallback
+        compiled, kernel = self._compiled_for(model)
+        charge = self._charge
+        if kernel is not None and kernel.supports_delta:
+            kernel_delta = kernel.move_delta
+
+            def kernel_route(assignment: Sequence[int], component_index: int,
+                             host_index: int) -> float:
+                charge()
+                stats = self.stats
+                stats.delta_evaluations += 1
+                stats.kernel_deltas += 1
+                return kernel_delta(assignment, component_index, host_index)
+            return kernel_route
+
+        def object_route(assignment: Sequence[int], component_index: int,
+                         host_index: int) -> float:
+            charge()
             self.stats.delta_evaluations += 1
-            compiled, kernel = self._compiled_for(model)
-            if kernel is not None and kernel.supports_delta:
-                self.stats.kernel_deltas += 1
-                return kernel.move_delta(assignment, component_index,
-                                         host_index)
             return self.objective.move_delta(
                 model, compiled.decode(assignment),
                 compiled.component_ids[component_index],
                 compiled.host_ids[host_index])
-        self.stats.delta_fallbacks += 1
-        base = self.evaluate_encoded(model, assignment)
-        moved = list(assignment)
-        moved[component_index] = host_index
-        return self.evaluate_encoded(model, moved) - base
+        return object_route
 
     # -- best-so-far (graceful truncation) ----------------------------------
     def _track_best(self, model: DeploymentModel, key: Hashable,

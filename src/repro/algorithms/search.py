@@ -34,9 +34,9 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   A lazy best-move heap orders the surviving row bests.
 
 * **Exactness.**  Deltas always come from the evaluation engine's kernels
-  (``move_delta_indexed`` on the checker's array), whichever checker
-  answers legality, so fixed-seed trajectories are pinned by the
-  regression suite's golden move logs.  Objectives whose deltas are not
+  (its ``delta_route``, resolved once per state, on the checker's
+  array), whichever checker answers legality, so fixed-seed trajectories
+  are pinned by the regression suite's golden move logs.  Objectives whose deltas are not
   neighbor-local (``Objective.local_delta`` False, e.g. throughput's
   bottleneck max) invalidate the whole frontier each move: still a win,
   because legality stays O(1) and deltas never re-encode.
@@ -287,6 +287,8 @@ class SearchState:
         self.stats = engine.stats
         self.checker = make_checker(model, constraints, self.stats)
         self.cm = self.checker.cm
+        # Resolved once: the checker pins this run's snapshot anyway.
+        self._delta = engine.delta_route(model)
         # Raises ValueError for a mapping that names an unknown host.
         self.checker.reset(assignment)
         #: The checker's array IS the assignment — one mutation source.
@@ -335,7 +337,7 @@ class SearchState:
     def _score(self, ci: int, hi: int) -> float:
         if self._count is not None:
             self._count(1)
-        return self.engine.move_delta_indexed(self.model, self.array, ci, hi)
+        return self._delta(self.array, ci, hi)
 
     # -- mutation ----------------------------------------------------------
     def apply(self, ci: int, hi: int) -> None:
@@ -511,8 +513,8 @@ class SearchState:
         cm = self.cm
         clear = self._clear
         clear.add(ci)
-        for k in cm.neighbors(ci):
-            clear.add(cm.adj_neighbor[k])
+        for neighbor, __ in cm.adjacency[ci]:
+            clear.add(neighbor)
         if not self._compilable:
             # Unknown constraint types may couple arbitrary components:
             # re-derive every row's legality (delta caches stay valid).
@@ -529,8 +531,8 @@ class SearchState:
                         continue
                     for member in self._on_host[host]:
                         rescan.add(member)
-                        for k in cm.neighbors(member):
-                            rescan.add(cm.adj_neighbor[k])
+                        for neighbor, __ in cm.adjacency[member]:
+                            rescan.add(neighbor)
                 # The global overload tally enters every allows() answer;
                 # if base feasibility changed, nothing cached is safe.
                 ok = self.checker.satisfied()

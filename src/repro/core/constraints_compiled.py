@@ -217,11 +217,11 @@ class CompiledConstraintSet:
                     return False
                 continue
             touched: Dict[Tuple[int, int], List[float]] = {}
-            for k in cm.neighbors(ci):
-                nh = assignment[cm.adj_neighbor[k]]
+            for neighbor, edge in cm.adjacency[ci]:
+                nh = assignment[neighbor]
                 if nh == UNDEPLOYED:
                     continue
-                vol = cm.edge_volume[cm.adj_edge[k]]
+                vol = cm.edge_volume[edge]
                 if cur != UNDEPLOYED and cur != nh:
                     entry = touched.setdefault(_pair(cur, nh), [0.0, 0])
                     entry[0] -= vol
@@ -443,11 +443,11 @@ class CompiledConstraintSet:
         cm = self.cm
         assignment = self.assignment
         demand, count = state["demand"], state["count"]
-        for k in cm.neighbors(ci):
-            nh = assignment[cm.adj_neighbor[k]]
+        for neighbor, edge in cm.adjacency[ci]:
+            nh = assignment[neighbor]
             if nh == UNDEPLOYED:
                 continue
-            vol = cm.edge_volume[cm.adj_edge[k]]
+            vol = cm.edge_volume[edge]
             for host, sign in ((cur, -1), (new, 1)):
                 if host == UNDEPLOYED or host == nh:
                     continue

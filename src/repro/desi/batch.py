@@ -295,7 +295,7 @@ def _run_cell_job(job: Tuple, obs: Observability) -> CellResult:
         engine = EvaluationEngine(algorithm.objective, algorithm.constraints,
                                   max_evaluations=max_evaluations)
         try:
-            result = algorithm.run(model.copy(), engine=engine)
+            result = algorithm.run(model, engine=engine)
         except AlgorithmError:
             failures += 1
             continue

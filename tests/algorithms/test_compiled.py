@@ -32,14 +32,15 @@ class TestCompiledModel:
             assert compiled.edge_frequency[edge] == link.frequency
             assert compiled.edge_evt_size[edge] == link.evt_size
 
-    def test_csr_adjacency_matches_logical_neighbors(self, small_model):
+    def test_adjacency_matches_logical_neighbors(self, small_model):
         compiled = CompiledModel(small_model)
         for index, component_id in enumerate(compiled.component_ids):
-            neighbors = tuple(
-                compiled.component_ids[compiled.adj_neighbor[k]]
-                for k in compiled.neighbors(index))
+            neighbors = tuple(compiled.component_ids[neighbor]
+                              for neighbor, __ in compiled.adjacency[index])
             assert neighbors == small_model.logical_neighbors(component_id)
-            assert compiled.degree(index) == len(neighbors)
+            for neighbor, edge in compiled.adjacency[index]:
+                assert {compiled.edge_a[edge], compiled.edge_b[edge]} == \
+                    {index, neighbor}
 
     def test_matrices_match_derived_queries(self, tiny_model):
         compiled = CompiledModel(tiny_model)

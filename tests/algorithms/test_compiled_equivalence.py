@@ -1,11 +1,13 @@
 """Kernel-vs-object equivalence property tests.
 
 The compiled kernels replicate the object path's arithmetic in the same
-accumulation order, so for random generator models and random move
-sequences every objective's kernel ``evaluate`` must match the object
-``evaluate``, and every kernel ``move_delta`` must match
-``evaluate(after) - evaluate(before)``, within 1e-9 — including after
-parameter mutations that trigger recompilation.
+accumulation order, so for random generator models every objective's
+kernel ``evaluate`` must equal the object ``evaluate`` bit for bit, and
+along random move sequences every kernel ``move_delta`` must match
+``evaluate(after) - evaluate(before)`` within 1e-9 — including after
+parameter mutations that trigger recompilation.  The additive kernels'
+``move_delta`` is also pinned bit for bit against a reference loop over
+the CSR adjacency layout the kernels once walked.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import random
 
 import pytest
 
-from repro.algorithms.compiled import compile_kernel, compiled_model
+from repro.algorithms.compiled import (
+    UNDEPLOYED, compile_kernel, compiled_model,
+)
 from repro.algorithms.engine import EvaluationEngine
 from repro.core.objectives import (
-    AvailabilityObjective, CommunicationCostObjective, DurabilityObjective,
-    LatencyObjective, SecurityObjective, ThroughputObjective,
-    WeightedObjective,
+    UNREACHABLE_COST, AvailabilityObjective, CommunicationCostObjective,
+    DurabilityObjective, LatencyObjective, SecurityObjective,
+    ThroughputObjective, WeightedObjective,
 )
 from repro.desi.generator import Generator, GeneratorConfig
 
@@ -84,9 +88,8 @@ class TestKernelEquivalence:
         assignment = compiled.encode(deployment)
         for objective in all_objectives():
             kernel = compile_kernel(objective, compiled)
-            assert kernel.evaluate(assignment) == pytest.approx(
-                objective.evaluate(model, deployment), abs=TOLERANCE), \
-                objective.name
+            assert kernel.evaluate(assignment) == \
+                objective.evaluate(model, deployment), objective.name
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_move_sequence_matches_object_path(self, seed):
@@ -209,6 +212,105 @@ class TestKernelEquivalence:
                 model, deployment, component_id, host_id) == pytest.approx(
                     reference, abs=TOLERANCE), objective.name
             assert engine.stats.kernel_deltas == 2
+
+
+def csr_layout(compiled):
+    """``(indptr, neighbor, edge)`` arrays: each component's neighbours
+    sorted by index, as a flat compressed-sparse-row adjacency."""
+    entries = [[] for __ in range(compiled.n_components)]
+    for edge, (a, b) in enumerate(zip(compiled.edge_a, compiled.edge_b,
+                                      strict=True)):
+        entries[a].append((b, edge))
+        entries[b].append((a, edge))
+    indptr, neighbor, adj_edge = [0], [], []
+    for row in entries:
+        for n, e in sorted(row):
+            neighbor.append(n)
+            adj_edge.append(e)
+        indptr.append(len(neighbor))
+    return indptr, neighbor, adj_edge
+
+
+def csr_move_delta(objective, kernel, compiled, assignment, ci, hi):
+    """Reference ``move_delta`` of the additive kernels: one walk over the
+    CSR slice of *ci*, testing each edge's weight and each neighbour."""
+    indptr, neighbor, adj_edge = csr_layout(compiled)
+    old_host = assignment[ci]
+    if isinstance(objective, (AvailabilityObjective, SecurityObjective)):
+        if isinstance(objective, SecurityObjective):
+            weights = compiled.edge_frequency
+            total = sum(f for f in weights if f > 0.0)
+            matrix = compiled.security
+        else:
+            weights = ([f * c for f, c in zip(compiled.edge_frequency,
+                                              compiled.edge_criticality,
+                                              strict=True)]
+                       if objective.use_criticality
+                       else compiled.edge_frequency)
+            total = sum(weights)
+            matrix = compiled.reliability
+        if total == 0.0:
+            return 0.0
+        delta = 0.0
+        for k in range(indptr[ci], indptr[ci + 1]):
+            weight = weights[adj_edge[k]]
+            if weight <= 0.0:
+                continue
+            host = assignment[neighbor[k]]
+            if host == UNDEPLOYED:
+                continue
+            old = matrix[old_host][host] if old_host != UNDEPLOYED else 0.0
+            delta += weight * (matrix[hi][host] - old)
+        return delta / total
+    delta = 0.0
+    for k in range(indptr[ci], indptr[ci + 1]):
+        edge = adj_edge[k]
+        host = assignment[neighbor[k]]
+        if isinstance(objective, LatencyObjective):
+            frequency = compiled.edge_frequency[edge]
+            if frequency <= 0.0 or host == UNDEPLOYED:
+                continue
+            size = compiled.edge_evt_size[edge]
+            old = (kernel._pair_cost(old_host, host, size)
+                   if old_host != UNDEPLOYED else UNREACHABLE_COST)
+            delta += frequency * (kernel._pair_cost(hi, host, size) - old)
+        else:
+            old_remote = (host == UNDEPLOYED or old_host == UNDEPLOYED
+                          or old_host != host)
+            new_remote = host == UNDEPLOYED or hi != host
+            delta += compiled.edge_volume[edge] * (
+                float(new_remote) - float(old_remote))
+    return delta
+
+
+class TestMoveDeltaMatchesCsrLoop:
+    @pytest.mark.parametrize("objective", [
+        AvailabilityObjective(), AvailabilityObjective(use_criticality=True),
+        SecurityObjective(), LatencyObjective(), CommunicationCostObjective(),
+    ], ids=lambda o: o.name + ("-criticality" if getattr(
+        o, "use_criticality", False) else ""))
+    @pytest.mark.parametrize("seed", [2, 13])
+    def test_bit_identical(self, objective, seed):
+        model = build_model(6, 16, seed)
+        rng = random.Random(seed)
+        for link in model.logical_links:  # zero-weight edges to skip
+            if rng.random() < 0.3:
+                model.set_logical_link_param(*link.components,
+                                             "criticality", 0.0)
+        compiled = compiled_model(model)
+        kernel = compile_kernel(objective, compiled)
+        undeployed_movers = 0
+        for __ in range(60):
+            # Undeployed components act as movers and as neighbours.
+            assignment = [UNDEPLOYED if rng.random() < 0.2
+                          else rng.randrange(compiled.n_hosts)
+                          for __ in range(compiled.n_components)]
+            ci = rng.randrange(compiled.n_components)
+            hi = rng.randrange(compiled.n_hosts)
+            undeployed_movers += assignment[ci] == UNDEPLOYED
+            assert kernel.move_delta(assignment, ci, hi) == csr_move_delta(
+                objective, kernel, compiled, assignment, ci, hi)
+        assert undeployed_movers > 0
 
 
 class TestEncodedScoring:

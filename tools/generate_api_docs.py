@@ -170,8 +170,9 @@ one way to add or remove algorithms.  Registry misuse raises the dedicated
 
 `repro.algorithms.compiled` is the evaluation-side view of the object
 model: `compiled_model(model)` snapshots a `DeploymentModel` into a
-`CompiledModel` of integer-indexed flat structures (index maps, CSR
-logical adjacency with per-edge parameter arrays, dense host×host
+`CompiledModel` of integer-indexed flat structures (index maps, one
+tuple of `(neighbour, edge)` pairs per component with per-edge
+parameter arrays, dense host×host
 reliability/bandwidth/delay/security matrices, per-entity resource
 vectors), invalidated through model-listener events and recompiled
 lazily per generation.  `encode`/`decode` convert a deployment mapping
