@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.algorithms.base import random_valid_deployment
 from repro.algorithms.engine import EvaluationEngine
-from repro.algorithms.search import SearchState, make_checker
+from repro.algorithms.search import GAIN_EPS, SearchState, make_checker
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
     MemoryConstraint,
@@ -86,35 +86,17 @@ def hillclimb(model, constraints, objective, initial):
 def swapsearch(model, constraints, objective, initial):
     engine = EvaluationEngine(objective, constraints)
     state = SearchState(model, constraints, engine, initial)
-    indices = range(state.cm.n_components)
-    array = state.array
-
-    def gain_of(delta):
-        return delta if objective.direction == "max" else -delta
-
     for __ in range(MAX_ROUNDS):
-        best_gain = 1e-12
-        best_action = None
         step = state.best_move()
-        if step is not None:
-            best_gain = gain_of(step[2])
-            best_action = ("move", step[0], step[1])
-        for i, ca in enumerate(indices):
-            for cb in indices[i + 1:]:
-                if array[ca] == array[cb]:
-                    continue
-                if not state.swap_allowed(ca, cb):
-                    continue
-                gain = gain_of(state.swap_delta(ca, cb))
-                if gain > best_gain:
-                    best_gain = gain
-                    best_action = ("swap", ca, cb)
-        if best_action is None:
-            break
-        if best_action[0] == "move":
-            state.apply(best_action[1], best_action[2])
+        threshold = GAIN_EPS if step is None else (
+            step[2] if objective.direction == "max" else -step[2])
+        swap = state.best_swap(threshold)
+        if swap is not None:
+            state.apply_swap(swap[0], swap[1])
+        elif step is not None:
+            state.apply(step[0], step[1])
         else:
-            state.apply_swap(best_action[1], best_action[2])
+            break
     return list(state.array), list(state.moves), engine.stats
 
 

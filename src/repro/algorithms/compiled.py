@@ -284,6 +284,19 @@ class Kernel:
                    new_host_index: int) -> float:
         raise NotImplementedError
 
+    def swap_delta(self, assignment: List[int], component_a: int,
+                   component_b: int) -> float:
+        """Objective change for exchanging two components' hosts.
+
+        Two sequential :meth:`move_delta` calls, the second with
+        *component_a* on *component_b*'s host until it returns."""
+        host_a, host_b = assignment[component_a], assignment[component_b]
+        first = self.move_delta(assignment, component_a, host_b)
+        assignment[component_a] = host_b
+        second = self.move_delta(assignment, component_b, host_a)
+        assignment[component_a] = host_a
+        return first + second
+
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(objective={self.objective.name}, "
                 f"gen={self.cm.generation})")
@@ -293,48 +306,50 @@ class _PairWeightKernel(Kernel):
     """Shared shape of the availability and security kernels.
 
     The value is ``sum(weight · matrix[host_a][host_b]) / sum(weight)``
-    over the edges of positive weight whose ends are both deployed.  At
-    build time the positive edges are kept as ``(a, b, weight)`` triples
-    (with their weight sum, accumulated in edge order like the object
-    path) and as ``(neighbor, weight)`` rows per component, in adjacency
-    order, so neither loop tests a weight or follows an edge index.
-    ``total_weight`` is each objective's own delta denominator.
+    over the edges of positive weight whose ends are both deployed.  The
+    positive edges are kept as runs ``(a, ((b, weight), ...))`` of
+    consecutive edges with the same first end, so ``evaluate`` reads a row
+    once per run (their weight sum is taken in edge order, like the object
+    path), and as ``(neighbor, weight)`` rows per component.  The matrix
+    gets a 0.0 column and a zero row, so ``UNDEPLOYED`` (-1) reads 0.0 and
+    an undeployed end adds ``weight · 0.0``, which leaves every sum the
+    same float.  No loop tests a weight or a host.  ``total_weight`` is
+    each objective's own delta denominator.
     """
 
     def __init__(self, objective: Objective, compiled: CompiledModel,
                  matrix: List[List[float]], edge_weight: Sequence[float],
                  total_weight: float):
         super().__init__(objective, compiled)
-        self.matrix = matrix
+        self.padded = [row + [0.0] for row in matrix]
+        self.padded.append([0.0] * (compiled.n_hosts + 1))
         self.total_weight = total_weight
         self.rows: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
             tuple((neighbor, edge_weight[edge])
                   for neighbor, edge in adjacent if edge_weight[edge] > 0.0)
             for adjacent in compiled.adjacency)
-        positive_edges: List[Tuple[int, int, float]] = []
+        runs: List[Tuple[int, List[Tuple[int, float]]]] = []
         positive_total = 0.0
         for a, b, weight in zip(compiled.edge_a, compiled.edge_b,
                                 edge_weight, strict=True):
             if weight > 0.0:
-                positive_edges.append((a, b, weight))
+                if not runs or runs[-1][0] != a:
+                    runs.append((a, []))
+                runs[-1][1].append((b, weight))
                 positive_total += weight
-        self.positive_edges = tuple(positive_edges)
+        self.positive_runs = tuple((a, tuple(pairs)) for a, pairs in runs)
         self.positive_total = positive_total
-        #: What an undeployed mover "leaves": weight · (new - 0.0).
-        self._zero_row = [0.0] * compiled.n_hosts
 
     def evaluate(self, assignment: Sequence[int]) -> float:
         total = self.positive_total
         if total == 0.0:
             return 1.0
-        matrix = self.matrix
+        padded = self.padded
         served = 0.0
-        for a, b, weight in self.positive_edges:
-            host_a = assignment[a]
-            host_b = assignment[b]
-            if host_a == UNDEPLOYED or host_b == UNDEPLOYED:
-                continue
-            served += weight * matrix[host_a][host_b]
+        for a, pairs in self.positive_runs:
+            row = padded[assignment[a]]
+            for b, weight in pairs:
+                served += weight * row[assignment[b]]
         return served / total
 
     def move_delta(self, assignment: Sequence[int], component_index: int,
@@ -342,16 +357,12 @@ class _PairWeightKernel(Kernel):
         total = self.total_weight
         if total == 0.0:
             return 0.0
-        matrix = self.matrix
-        old_host = assignment[component_index]
-        new_row = matrix[new_host_index]
-        old_row = (matrix[old_host] if old_host != UNDEPLOYED
-                   else self._zero_row)
+        new_row = self.padded[new_host_index]
+        old_row = self.padded[assignment[component_index]]
         delta = 0.0
         for neighbor, weight in self.rows[component_index]:
             host = assignment[neighbor]
-            if host != UNDEPLOYED:
-                delta += weight * (new_row[host] - old_row[host])
+            delta += weight * (new_row[host] - old_row[host])
         return delta / total
 
 

@@ -404,6 +404,48 @@ class EvaluationEngine:
                 compiled.host_ids[host_index])
         return object_route
 
+    def swap_route(self, model: DeploymentModel,
+                   count: Optional[Callable[[int], None]] = None,
+                   ) -> Callable[[List[int], int, int], float]:
+        """Two :meth:`delta_route` deltas per exchange, resolved once.
+
+        ``route(assignment, a, b)`` moves *a* to *b*'s host, then *b* to
+        *a*'s with the first move in place, and restores *assignment*;
+        each delta calls *count* with 1 and charges the budget, in that
+        order.  A kernel scores both in one ``Kernel.swap_delta`` call.
+        """
+        count = count or (lambda n: None)
+        kernel = (self._compiled_for(model)[1]
+                  if getattr(self.objective, "supports_delta", False)
+                  else None)
+        if kernel is not None and kernel.supports_delta:
+            kernel_swap = kernel.swap_delta
+            charge = self._charge
+
+            def kernel_swap_route(assignment: List[int], component_a: int,
+                                  component_b: int) -> float:
+                stats = self.stats
+                for __ in range(2):
+                    count(1)
+                    charge()
+                    stats.delta_evaluations += 1
+                    stats.kernel_deltas += 1
+                return kernel_swap(assignment, component_a, component_b)
+            return kernel_swap_route
+        delta = self.delta_route(model)
+
+        def pair_route(assignment: List[int], component_a: int,
+                       component_b: int) -> float:
+            host_a, host_b = assignment[component_a], assignment[component_b]
+            count(1)
+            first = delta(assignment, component_a, host_b)
+            assignment[component_a] = host_b
+            count(1)
+            second = delta(assignment, component_b, host_a)
+            assignment[component_a] = host_a
+            return first + second
+        return pair_route
+
     # -- best-so-far (graceful truncation) ----------------------------------
     def _track_best(self, model: DeploymentModel, key: Hashable,
                     value: float) -> None:

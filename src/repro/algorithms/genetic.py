@@ -1,10 +1,11 @@
 """Genetic algorithm over deployments (framework-extension algorithm).
 
 Figure 7's methodology explicitly lists "genetic algorithm" as a candidate
-main body.  The chromosome is the deployment itself (component -> host map);
-crossover is uniform per-component; mutation reassigns a component to a
-random host.  Constraint handling is by penalty: infeasible individuals are
-dominated by any feasible one, so selection pressure repairs the population.
+main body.  The chromosome is the deployment itself, held as the host
+index of every component; crossover is uniform per-component; mutation
+reassigns a component to a random host.  Constraint handling is by
+penalty: infeasible individuals are dominated by any feasible one, so
+selection pressure repairs the population.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.algorithms.base import DeploymentAlgorithm, random_valid_deployment
 from repro.core.model import DeploymentModel
+
+#: ``(order, hosts)``: the component indices in the order the individual's
+#: RNG draws follow, and the host index of every component.
+Individual = Tuple[Tuple[int, ...], List[int]]
 
 
 class GeneticAlgorithm(DeploymentAlgorithm):
@@ -44,72 +49,84 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         self.elite = elite
 
     # -- fitness -------------------------------------------------------------
-    def _fitness(self, model: DeploymentModel, individual: Dict[str, str],
+    def _fitness(self, model: DeploymentModel, hosts: List[int],
                  checker: Any) -> Tuple[int, float]:
         """(feasibility rank, direction-adjusted value); higher is fitter.
 
         Feasible individuals rank above all infeasible ones; among
-        infeasible ones, fewer violations is fitter.  The individual is
-        encoded once: the checker counts the violations of, and the engine
-        scores, the same host-index list; the checker is not rebound.
+        infeasible ones, fewer violations is fitter.  The checker is not
+        rebound to count the violations of *hosts*.
         """
-        assignment = checker.cm.encode(individual)
-        violations = checker.violation_count(assignment)
-        value = self._evaluate_encoded(model, assignment)
+        violations = checker.violation_count(hosts)
+        value = self._evaluate_encoded(model, hosts)
         adjusted = value if self.objective.direction == "max" else -value
         return (-violations, adjusted)
 
     # -- variation ----------------------------------------------------------
-    def _crossover(self, a: Dict[str, str], b: Dict[str, str],
-                   ) -> Dict[str, str]:
-        return {c: (a[c] if self.rng.random() < 0.5 else b[c]) for c in a}
+    def _crossover(self, a: Individual, b: Individual) -> Individual:
+        """Uniform crossover, drawing in *a*'s component order."""
+        order, child, other = a[0], list(a[1]), b[1]
+        random = self.rng.random
+        for component in order:
+            if random() >= 0.5:
+                child[component] = other[component]
+        return order, child
 
-    def _mutate(self, individual: Dict[str, str],
-                hosts: Tuple[str, ...]) -> None:
-        for component in individual:
-            if self.rng.random() < self.mutation_rate:
-                individual[component] = self.rng.choice(hosts)
+    def _mutate(self, individual: Individual, host_range: range) -> None:
+        order, hosts = individual
+        random, choice = self.rng.random, self.rng.choice
+        for component in order:
+            if random() < self.mutation_rate:
+                hosts[component] = choice(host_range)
 
     # -- main body ------------------------------------------------------------
     def _search(self, model: DeploymentModel, initial: Dict[str, str],
                 ) -> Tuple[Optional[Mapping[str, str]], Dict[str, Any]]:
-        hosts = model.host_ids
-        components = model.component_ids
         checker = self._checker(model)
+        cm = checker.cm
+        host_range = range(cm.n_hosts)
+        natural = tuple(range(cm.n_components))
 
-        population: List[Dict[str, str]] = []
+        def from_mapping(mapping: Mapping[str, str]) -> Individual:
+            return (tuple(cm.component_index[c] for c in mapping),
+                    cm.encode(mapping))
+
+        # An individual's component order is the key order its mapping
+        # had: it fixes the order of the RNG draws made over it.
+        population: List[Individual] = []
         seed_valid = random_valid_deployment(checker, self.rng)
         if seed_valid is not None:
-            population.append(seed_valid)
-        if (len(initial) == len(components)
-                and all(h in hosts for h in initial.values())):
-            population.append(dict(initial))
+            population.append(from_mapping(seed_valid))
+        if (initial.keys() == set(cm.component_ids)
+                and all(h in cm.host_index for h in initial.values())):
+            population.append(from_mapping(initial))
+        choice = self.rng.choice
         while len(population) < self.population_size:
-            population.append(
-                {c: self.rng.choice(hosts) for c in components})
+            population.append((natural, [choice(host_range)
+                                         for __ in natural]))
 
-        scored = [(self._fitness(model, ind, checker), ind)
+        scored = [(self._fitness(model, ind[1], checker), ind)
                   for ind in population]
         scored.sort(key=lambda pair: pair[0], reverse=True)
 
-        def tournament_pick() -> Dict[str, str]:
+        def tournament_pick() -> Individual:
             contenders = [scored[self.rng.randrange(len(scored))]
                           for __ in range(self.tournament)]
             return max(contenders, key=lambda pair: pair[0])[1]
 
         for __ in range(self.generations):
-            next_population: List[Dict[str, str]] = [
-                dict(ind) for __, ind in scored[: self.elite]
-            ]
+            # Elites are never mutated, so they carry over uncopied.
+            next_population: List[Individual] = [
+                ind for __, ind in scored[: self.elite]]
             while len(next_population) < self.population_size:
                 child = self._crossover(tournament_pick(), tournament_pick())
-                self._mutate(child, hosts)
+                self._mutate(child, host_range)
                 next_population.append(child)
-            scored = [(self._fitness(model, ind, checker), ind)
+            scored = [(self._fitness(model, ind[1], checker), ind)
                       for ind in next_population]
             scored.sort(key=lambda pair: pair[0], reverse=True)
 
-        best_rank, best = scored[0]
+        best_rank, (order, hosts) = scored[0]
         extra = {
             "generations": self.generations,
             "population_size": self.population_size,
@@ -122,4 +139,5 @@ class GeneticAlgorithm(DeploymentAlgorithm):
             fallback = random_valid_deployment(checker, self.rng)
             if fallback is not None:
                 return fallback, extra
-        return best, extra
+        return {cm.component_ids[c]: cm.host_ids[hosts[c]]
+                for c in order}, extra

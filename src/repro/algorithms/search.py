@@ -34,9 +34,13 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   A lazy best-move heap orders the surviving row bests.
 
 * **Exactness.**  Deltas always come from the evaluation engine's kernels
-  (its ``delta_route``, resolved once per state, on the checker's
-  array), whichever checker answers legality, so fixed-seed trajectories
-  are pinned by the regression suite's golden move logs.  Objectives whose deltas are not
+  (its ``delta_route`` and ``swap_route``, resolved once per state, on
+  the checker's array), whichever checker answers legality, so
+  fixed-seed trajectories are pinned by the regression suite's golden
+  move logs.  :meth:`SearchState.best_swap` scans every exchange with
+  one ``swap_allows`` and one swap-route call per pair; the route scores
+  both halves in one ``Kernel.swap_delta`` call, charged and counted as
+  the two move deltas it is.  Objectives whose deltas are not
   neighbor-local (``Objective.local_delta`` False, e.g. throughput's
   bottleneck max) invalidate the whole frontier each move: still a win,
   because legality stays O(1) and deltas never re-encode.
@@ -271,9 +275,10 @@ class SearchState:
     (``checker.assignment``, aliased as :attr:`array`) is the assignment,
     the legal-move frontier, and the move log.  Algorithms drive it
     through :meth:`best_move` / :meth:`apply` (steepest-ascent),
-    :meth:`allows` / :meth:`delta` (stochastic proposals), and the swap
-    helpers, all by component and host index; ``cm.decode(state.array)``
-    turns the result back into a mapping.
+    :meth:`allows` / :meth:`delta` (stochastic proposals), and
+    :meth:`best_swap` / :meth:`apply_swap`, all by component and host
+    index; ``cm.decode(state.array)`` turns the result back into a
+    mapping.
     """
 
     def __init__(self, model: DeploymentModel, constraints: ConstraintSet,
@@ -289,6 +294,7 @@ class SearchState:
         self.cm = self.checker.cm
         # Resolved once: the checker pins this run's snapshot anyway.
         self._delta = engine.delta_route(model)
+        self._swap = engine.swap_route(model, count)
         # Raises ValueError for a mapping that names an unknown host.
         self.checker.reset(assignment)
         #: The checker's array IS the assignment — one mutation source.
@@ -369,20 +375,31 @@ class SearchState:
             self._invalidate(ca, ha, hb)
             self._invalidate(cb, hb, ha)
 
-    # -- swap probes -------------------------------------------------------
-    def swap_allowed(self, ca: int, cb: int) -> bool:
-        """Feasibility of exchanging *ca* and *cb* (each side checked with
-        the other hypothetically removed — exact-fit exchanges pass)."""
-        return self.checker.swap_allows(ca, cb)
+    # -- swap scan -------------------------------------------------------
+    def best_swap(self, threshold: float,
+                  ) -> Optional[Tuple[int, int, float]]:
+        """The best feasible exchange whose gain beats *threshold*.
 
-    def swap_delta(self, ca: int, cb: int) -> float:
-        """Objective delta of the exchange: two sequential move deltas."""
-        ha, hb = self.array[ca], self.array[cb]
-        first = self._score(ca, hb)
-        self.array[ca] = hb  # temporarily apply (checker state untouched —
-        second = self._score(cb, ha)  # no legality probes here)
-        self.array[ca] = ha
-        return first + second
+        Returns ``(ca, cb, delta)`` for the highest direction-adjusted
+        gain, or ``None``; pairs ``ca < cb`` on distinct hosts are scanned
+        in index order, so the first pair wins ties."""
+        array = self.array
+        allows = self.checker.swap_allows
+        swap = self._swap
+        maximize = self._maximize
+        n = self.cm.n_components
+        best: Optional[Tuple[int, int, float]] = None
+        for ca in range(n):
+            ha = array[ca]
+            for cb in range(ca + 1, n):
+                if array[cb] == ha or not allows(ca, cb):
+                    continue
+                delta = swap(array, ca, cb)
+                gain = delta if maximize else -delta
+                if gain > threshold:
+                    threshold = gain
+                    best = (ca, cb, delta)
+        return best
 
     # -- frontier ----------------------------------------------------------
     def best_move(self) -> Optional[Tuple[int, int, float]]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.algorithms.base import DeploymentAlgorithm, random_valid_deployment
+from repro.algorithms.search import GAIN_EPS
 from repro.core.model import DeploymentModel
 
 
@@ -48,42 +49,23 @@ class SwapSearchAlgorithm(DeploymentAlgorithm):
             return None, {"rounds": 0}
 
         state = self._search_state(model, assignment)
-        indices = range(state.cm.n_components)
-        array = state.array
         moves_taken = swaps_taken = 0
         rounds = 0
         for rounds in range(1, self.max_rounds + 1):
             # Single moves come from the incremental frontier; the best
-            # single move seeds the threshold the swap scan must beat, which
+            # single move sets the threshold a swap must beat, which
             # reproduces the historical flat moves-then-swaps scan exactly.
-            best_gain = 1e-12
-            best_action: Optional[Tuple[str, int, int]] = None
             step = state.best_move()
-            if step is not None:
-                ci, hi, delta = step
-                best_gain = self._gain(delta)
-                best_action = ("move", ci, hi)
-            # Pairwise swaps (only across distinct hosts).
-            for i, ca in enumerate(indices):
-                for cb in indices[i + 1:]:
-                    if array[ca] == array[cb]:
-                        continue
-                    if not state.swap_allowed(ca, cb):
-                        continue
-                    gain = self._gain(state.swap_delta(ca, cb))
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_action = ("swap", ca, cb)
-            if best_action is None:
-                break
-            if best_action[0] == "move":
-                __, ci, hi = best_action
-                state.apply(ci, hi)
+            swap = state.best_swap(
+                GAIN_EPS if step is None else self._gain(step[2]))
+            if swap is not None:
+                state.apply_swap(swap[0], swap[1])
+                swaps_taken += 1
+            elif step is not None:
+                state.apply(step[0], step[1])
                 moves_taken += 1
             else:
-                __, ca, cb = best_action
-                state.apply_swap(ca, cb)
-                swaps_taken += 1
+                break
         return state.cm.decode(state.array), {
             "rounds": rounds, "moves_taken": moves_taken,
             "swaps_taken": swaps_taken, "moves": list(state.moves)}

@@ -340,3 +340,96 @@ class TestEncodedScoring:
         assert engine.stats.kernel_evaluations == 1
         assert by_mapping == pytest.approx(
             objective.evaluate(model, mapping), abs=TOLERANCE)
+
+
+def random_assignment(rng, compiled, undeployed):
+    """A host index per component, *undeployed* of them ``UNDEPLOYED``."""
+    assignment = [rng.randrange(compiled.n_hosts)
+                  for __ in range(compiled.n_components)]
+    for ci in rng.sample(range(compiled.n_components), undeployed):
+        assignment[ci] = UNDEPLOYED
+    return assignment
+
+
+class TestSwapDelta:
+    """``Kernel.swap_delta`` is two sequential ``move_delta`` calls, the
+    second with the first component already on the other's host."""
+
+    @pytest.mark.parametrize("objective", all_objectives(),
+                             ids=lambda o: o.name + ("-criticality" if getattr(
+                                 o, "use_criticality", False) else ""))
+    @pytest.mark.parametrize("seed", [4, 19])
+    def test_bit_identical_and_restores_assignment(self, objective, seed):
+        model = build_model(5, 14, seed)
+        compiled = compiled_model(model)
+        kernel = compile_kernel(objective, compiled)
+        reference_kernel = compile_kernel(objective, compiled)
+        rng = random.Random(seed)
+        undeployed_sides = 0
+        for trial in range(60):
+            assignment = random_assignment(rng, compiled, trial % 3)
+            ca = rng.randrange(compiled.n_components)
+            cb = rng.randrange(compiled.n_components)
+            ha, hb = assignment[ca], assignment[cb]
+            undeployed_sides += UNDEPLOYED in (ha, hb)
+            moved = list(assignment)
+            first = reference_kernel.move_delta(moved, ca, hb)
+            moved[ca] = hb
+            expected = first + reference_kernel.move_delta(moved, cb, ha)
+            before = list(assignment)
+            assert kernel.swap_delta(assignment, ca, cb) == expected, \
+                (objective.name, trial)
+            assert assignment == before
+        assert undeployed_sides > 0
+
+
+def edge_order_evaluate(kernel, compiled, assignment):
+    """Reference pair-weight ``evaluate``: one loop over the edges in
+    order, testing each weight and each endpoint."""
+    matrix = (compiled.security if isinstance(kernel.objective,
+                                              SecurityObjective)
+              else compiled.reliability)
+    total = served = 0.0
+    for a, b, weight in zip(compiled.edge_a, compiled.edge_b,
+                            kernel_edge_weights(kernel, compiled),
+                            strict=True):
+        if weight <= 0.0:
+            continue
+        total += weight  # not sum(): 3.12's float sum is compensated
+        host_a, host_b = assignment[a], assignment[b]
+        if host_a == UNDEPLOYED or host_b == UNDEPLOYED:
+            continue
+        served += weight * matrix[host_a][host_b]
+    return 1.0 if total == 0.0 else served / total
+
+
+def kernel_edge_weights(kernel, compiled):
+    objective = kernel.objective
+    if isinstance(objective, AvailabilityObjective) \
+            and objective.use_criticality:
+        return [f * c for f, c in zip(compiled.edge_frequency,
+                                      compiled.edge_criticality, strict=True)]
+    return compiled.edge_frequency
+
+
+class TestPairWeightEvaluate:
+    """The run-grouped ``evaluate`` adds the same products in edge order."""
+
+    @pytest.mark.parametrize("objective", [
+        AvailabilityObjective(), AvailabilityObjective(use_criticality=True),
+        SecurityObjective(),
+    ], ids=["availability", "availability-criticality", "security"])
+    @pytest.mark.parametrize("seed", [6, 31])
+    def test_bit_identical_to_edge_loop(self, objective, seed):
+        model = build_model(6, 18, seed)
+        rng = random.Random(seed)
+        for link in model.logical_links:  # zero-weight edges to skip
+            if rng.random() < 0.3:
+                model.set_logical_link_param(*link.components,
+                                             "criticality", 0.0)
+        compiled = compiled_model(model)
+        kernel = compile_kernel(objective, compiled)
+        for trial in range(40):
+            assignment = tuple(random_assignment(rng, compiled, trial % 4))
+            assert kernel.evaluate(assignment) == edge_order_evaluate(
+                kernel, compiled, assignment), trial

@@ -10,11 +10,13 @@ from repro.algorithms import (
     ExactAlgorithm, GeneticAlgorithm, HillClimbingAlgorithm,
     SimulatedAnnealingAlgorithm,
 )
+from repro.algorithms.base import random_valid_deployment
 from repro.core import (
     AvailabilityObjective, ConstraintSet, DeploymentModel, LatencyObjective,
     MemoryConstraint,
 )
-from repro.core.constraints import LocationConstraint
+from repro.core.constraints import CollocationConstraint, LocationConstraint
+from repro.desi import Generator, GeneratorConfig
 
 ALL_EXTENSIONS = [
     lambda obj, cons: HillClimbingAlgorithm(obj, cons, seed=1),
@@ -143,3 +145,92 @@ class TestGenetic:
                                   generations=10).run(small_model)
         assert result.extra["generations"] == 10
         assert result.extra["best_violations"] == 0
+
+
+class DictGeneticAlgorithm(GeneticAlgorithm):
+    """The GA with id-keyed dict individuals, as it ran before individuals
+    became host-index lists: the reference the list form must match."""
+
+    def _search(self, model, initial):
+        hosts = model.host_ids
+        components = model.component_ids
+        checker = self._checker(model)
+
+        def fitness(individual):
+            assignment = checker.cm.encode(individual)
+            violations = checker.violation_count(assignment)
+            value = self._evaluate_encoded(model, assignment)
+            adjusted = value if self.objective.direction == "max" else -value
+            return (-violations, adjusted)
+
+        population = []
+        seed_valid = random_valid_deployment(checker, self.rng)
+        if seed_valid is not None:
+            population.append(seed_valid)
+        if (len(initial) == len(components)
+                and all(h in hosts for h in initial.values())):
+            population.append(dict(initial))
+        while len(population) < self.population_size:
+            population.append(
+                {c: self.rng.choice(hosts) for c in components})
+        scored = [(fitness(ind), ind) for ind in population]
+        scored.sort(key=lambda pair: pair[0], reverse=True)
+
+        def tournament_pick():
+            contenders = [scored[self.rng.randrange(len(scored))]
+                          for __ in range(self.tournament)]
+            return max(contenders, key=lambda pair: pair[0])[1]
+
+        for __ in range(self.generations):
+            next_population = [dict(ind) for __, ind in scored[: self.elite]]
+            while len(next_population) < self.population_size:
+                a, b = tournament_pick(), tournament_pick()
+                child = {c: (a[c] if self.rng.random() < 0.5 else b[c])
+                         for c in a}
+                for component in child:
+                    if self.rng.random() < self.mutation_rate:
+                        child[component] = self.rng.choice(hosts)
+                next_population.append(child)
+            scored = [(fitness(ind), ind) for ind in next_population]
+            scored.sort(key=lambda pair: pair[0], reverse=True)
+
+        best_rank, best = scored[0]
+        extra = {"generations": self.generations,
+                 "population_size": self.population_size,
+                 "best_violations": -best_rank[0]}
+        if best_rank[0] < 0:
+            fallback = random_valid_deployment(checker, self.rng)
+            if fallback is not None:
+                return fallback, extra
+        return best, extra
+
+
+class TestGeneticIndexLists:
+    """Host-index individuals reproduce the dict GA draw for draw: the
+    seed individual keeps its placement order, ``initial`` its key order,
+    and each child its first parent's order."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("objective", [AvailabilityObjective(),
+                                           LatencyObjective()],
+                             ids=["availability", "latency"])
+    def test_matches_dict_individuals(self, seed, objective):
+        model = Generator(GeneratorConfig(
+            hosts=5, components=14, host_memory=(15.0, 30.0),
+            memory_headroom=1.2), seed=60 + seed).generate()
+        comps = model.component_ids
+        constraints = ConstraintSet([
+            MemoryConstraint(),
+            LocationConstraint(comps[0], forbidden=[model.host_ids[0]]),
+            CollocationConstraint([comps[1], comps[2]], together=True),
+        ])
+        # Keys out of sorted order, so the order the draws follow matters.
+        initial = dict(reversed(list(model.deployment.items())))
+        assert list(initial) != sorted(initial)
+        runs = [cls(objective, constraints, seed=seed, population_size=12,
+                    generations=15, mutation_rate=0.2).run(
+                        model, initial=initial)
+                for cls in (DictGeneticAlgorithm, GeneticAlgorithm)]
+        expected, actual = (run.to_dict(include_timing=False) for run in runs)
+        assert actual == expected
+        assert list(runs[1].deployment) == list(runs[0].deployment)

@@ -9,19 +9,24 @@ ties) — while re-scoring only the invalidated slice.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.algorithms import SearchState, greedy_fill_deployment, make_checker
+from repro.algorithms.base import random_valid_deployment
 from repro.algorithms.compiled import UNDEPLOYED
 from repro.algorithms.engine import EvaluationEngine
+from repro.algorithms.search import GAIN_EPS
 from repro.core.constraints import (
     BandwidthConstraint, CollocationConstraint, ConstraintSet,
     LocationConstraint, MemoryConstraint,
 )
+from repro.core.errors import EvaluationBudgetExceeded
 from repro.core.objectives import (
-    AvailabilityObjective, CommunicationCostObjective, ThroughputObjective,
+    AvailabilityObjective, CommunicationCostObjective, LatencyObjective,
+    ThroughputObjective,
 )
 from repro.desi import Generator, GeneratorConfig
 from tests.constraint_paths import object_path
@@ -185,7 +190,7 @@ def test_swap_allowed_permits_exact_fit_exchange():
                             model.deployment)
         ya, vb = state.cm.component_index["y"], state.cm.component_index["v"]
         assert state.best_move() is None  # both hosts full: no single move
-        assert state.swap_allowed(ya, vb)
+        assert state.checker.swap_allows(ya, vb)
         state.apply_swap(ya, vb)
         mapping = state.cm.decode(state.array)
         assert mapping["y"] == "h0"
@@ -329,3 +334,109 @@ def test_uncompilable_constraints_still_search_correctly():
             break
         state.apply(move[0], move[1])
         reference.apply(move[0], move[1])
+
+
+def _nested_swap_scan(state, threshold):
+    """The pair scan SwapSearch ran before ``best_swap``: every pair on
+    distinct hosts, probed, then scored as two ``state.delta`` calls with
+    the first component temporarily on the other's host."""
+    maximize = state.engine.objective.direction == "max"
+    array = state.array
+    best = None
+    n = state.cm.n_components
+    for ca in range(n):
+        for cb in range(ca + 1, n):
+            if (array[ca] == array[cb]
+                    or not state.checker.swap_allows(ca, cb)):
+                continue
+            ha, hb = array[ca], array[cb]
+            first = state.delta(ca, hb)
+            array[ca] = hb
+            second = state.delta(cb, ha)
+            array[ca] = ha
+            delta = first + second
+            gain = delta if maximize else -delta
+            if gain > threshold:
+                threshold = gain
+                best = (ca, cb, delta)
+    return best
+
+
+class _ObjectPathAvailability(AvailabilityObjective):
+    """No kernel (dispatch is on the exact type): deltas take the
+    engine's object route, two full evaluations each."""
+
+    def move_delta(self, model, deployment, component, new_host):
+        # Overridden, as MV015 asks of a supports_delta objective.
+        return super().move_delta(model, deployment, component, new_host)
+
+
+def _swap_rounds(model, constraints, objective, initial, scan, budget,
+                 rounds=6):
+    """Run SwapSearch's round loop with *scan* as the pair scan; return
+    what each round picked, the engine counters, the evaluation count and
+    whether the budget ran out."""
+    engine = EvaluationEngine(objective, constraints, max_evaluations=budget)
+    counted = [0]
+
+    def count(n):
+        counted[0] += n
+
+    state = SearchState(model, constraints, engine, initial, count=count)
+    maximize = objective.direction == "max"
+    picks = []
+    truncated = False
+    try:
+        for __ in range(rounds):
+            step = state.best_move()
+            threshold = GAIN_EPS if step is None else (
+                step[2] if maximize else -step[2])
+            swap = scan(state, threshold)
+            picks.append((step, swap))
+            if swap is not None:
+                state.apply_swap(swap[0], swap[1])
+            elif step is not None:
+                state.apply(step[0], step[1])
+            else:
+                break
+    except EvaluationBudgetExceeded:
+        truncated = True
+    return picks, dataclasses.asdict(engine.stats), counted[0], truncated
+
+
+@pytest.mark.parametrize("objective_cls", [
+    AvailabilityObjective,        # pair-weight kernel
+    LatencyObjective,             # base swap_delta, minimize
+    ThroughputObjective,          # base swap_delta over a stateful kernel
+    _ObjectPathAvailability,      # no kernel: two object-route deltas
+])
+@pytest.mark.parametrize("compiled", [True, False])
+def test_best_swap_matches_nested_scan(objective_cls, compiled):
+    """Same pair, delta, counters and evaluation count as the nested scan,
+    round after round, and with budgets that run out anywhere in a scan
+    (both parities, so some run out between a pair's two charges)."""
+    model = _model(seed=13, hosts=4, components=10)
+    constraints = _rich_constraints(model)
+    if not compiled:
+        constraints = object_path(constraints)
+    initial = random_valid_deployment(make_checker(model, constraints),
+                                      random.Random(3))
+    assert initial is not None
+    objective = objective_cls()
+    expected = _swap_rounds(model, constraints, objective, initial,
+                            _nested_swap_scan, None)
+    assert expected == _swap_rounds(model, constraints, objective, initial,
+                                    SearchState.best_swap, None)
+    assert any(swap is not None for __, swap in expected[0])
+    charged = (expected[1]["full_evaluations"]
+               + expected[1]["delta_evaluations"])
+    rng = random.Random(objective_cls.__name__)
+    budgets = sorted(rng.sample(range(1, charged), 12))
+    budgets += [budget + 1 for budget in budgets[:4]]
+    for budget in budgets:
+        truncated = _swap_rounds(model, constraints, objective, initial,
+                                 _nested_swap_scan, budget)
+        assert truncated[3]
+        assert _swap_rounds(model, constraints, objective, initial,
+                            SearchState.best_swap, budget) == truncated, \
+            budget

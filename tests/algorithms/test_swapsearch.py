@@ -81,11 +81,12 @@ class TestSwapSearch:
             assignment[comp_b] = next(
                 h for h in small_model.host_ids
                 if h != assignment[comp_a])
-        state = SearchState(small_model, ConstraintSet(),
-                            EvaluationEngine(availability), assignment)
+        engine = EvaluationEngine(availability)
+        state = SearchState(small_model, ConstraintSet(), engine, assignment)
         before = availability.evaluate(small_model, assignment)
         index = state.cm.component_index
-        delta = state.swap_delta(index[comp_a], index[comp_b])
+        delta = engine.swap_route(small_model)(
+            state.array, index[comp_a], index[comp_b])
         swapped = dict(assignment)
         swapped[comp_a], swapped[comp_b] = swapped[comp_b], swapped[comp_a]
         after = availability.evaluate(small_model, swapped)
